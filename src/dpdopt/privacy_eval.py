@@ -16,6 +16,7 @@ when no noise is injected. The reconstruction is the default leakage input.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -149,11 +150,72 @@ def _as_samples(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=8)
+def _jitter(x_shape: tuple, y_shape: tuple) -> tuple:
+    """The tie-breaking jitter for one pair of sample shapes.
+
+    The stream is fixed, so the draws depend only on the shapes; they are
+    read-only because every call with these shapes shares them.
+    """
+    rng = substream(0, "mi-jitter")
+    jx = rng.uniform(-_JITTER, _JITTER, x_shape)
+    jy = rng.uniform(-_JITTER, _JITTER, y_shape)
+    jx.flags.writeable = False
+    jy.flags.writeable = False
+    return jx, jy
+
+
+def _settle_end(s, a, r, end, out, grow, shrink):
+    """Settle one end of every row's window on |s_j - a_i| <= r_i.
+
+    The end's outer neighbour is s[end + out] (out is -1 for the lower end,
+    0 for the upper) and its inner one s[end - 1 - out]. An end moves out
+    while its outer neighbour passes and in while its inner one fails. Each
+    move crosses all copies of one value, which share a verdict: `grow` and
+    `shrink` are the searchsorted sides that land past them.
+    """
+    n = len(s)
+    while True:
+        rows = np.flatnonzero((end + out >= 0) & (end + out < n))
+        grown = rows[np.abs(s[end[rows] + out] - a[rows]) <= r[rows]]
+        end[grown] = np.searchsorted(s, s[end[grown] + out], side=grow)
+        inner = end - 1 - out
+        shrunk = np.flatnonzero(np.abs(s[inner] - a) > r)
+        end[shrunk] = np.searchsorted(s, s[inner[shrunk]], side=shrink)
+        if not (len(grown) or len(shrunk)):
+            return end
+
+
+def _marginal_counts(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Number of rows j with max|a_j - a_i| <= r_i, for each row i.
+
+    The same count as `cKDTree(a).query_ball_point(a, r, p=inf,
+    return_length=True)`, including the point itself. One column is counted
+    on the sorted values s: fl(s_j - a_i) is monotone in s_j, so the rows
+    that pass the tree's predicate |s_j - a_i| <= r_i form a contiguous run
+    of s that holds a_i. `searchsorted` on a_i -/+ r_i finds the run up to
+    rounding, and a short fix-up re-testing the predicate settles its ends.
+    """
+    if a.shape[1] != 1:
+        return cKDTree(a).query_ball_point(a, r, p=np.inf, return_length=True)
+    a = a[:, 0]
+    s = np.sort(a)
+    lo = _settle_end(s, a, r, np.searchsorted(s, a - r, side="left"), -1, "left", "right")
+    hi = _settle_end(s, a, r, np.searchsorted(s, a + r, side="right"), 0, "right", "left")
+    return hi - lo
+
+
 def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
     """kNN mutual information in nats (Kraskov et al. variant 1, max-norm).
 
-    I = psi(k) + psi(N) - <psi(n_x + 1) + psi(n_y + 1)>, where n_x and n_y
-    count marginal neighbors strictly inside the joint kth-neighbor radius.
+    I = psi(k) + psi(N) - <psi(n_x + 1) + psi(n_y + 1)>. The joint
+    kth-neighbour distance comes from one kd-tree, less 1e-15 so that the
+    marginal counts n_x + 1 and n_y + 1 (the point itself included) take
+    neighbours strictly inside it. A one-column marginal is counted on its
+    sorted values: a window found by binary search, with its ends settled
+    by re-testing the kd-tree's own predicate |s_j - a_i| <= r_i, so a point
+    that rounding puts on the boundary counts exactly as in a kd-tree range
+    query. Wider marginals use the kd-tree range query itself.
     Slightly negative outputs are possible; callers clamp where needed.
     A deterministic jitter of amplitude 1e-10 breaks distance ties.
     """
@@ -167,17 +229,16 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
     if not 1 <= k_neighbors <= n - 1:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
 
-    rng = substream(0, "mi-jitter")
-    xs = xs + rng.uniform(-_JITTER, _JITTER, xs.shape)
-    ys = ys + rng.uniform(-_JITTER, _JITTER, ys.shape)
+    jx, jy = _jitter(xs.shape, ys.shape)
+    xs = xs + jx
+    ys = ys + jy
 
     joint = np.hstack([xs, ys])
     radius, _ = cKDTree(joint).query(joint, k=k_neighbors + 1, p=np.inf)
     radius = np.maximum(radius[:, k_neighbors] - 1e-15, 0.0)
 
-    # counts include the point itself, supplying KSG's n+1 directly
-    nx = cKDTree(xs).query_ball_point(xs, radius, p=np.inf, return_length=True)
-    ny = cKDTree(ys).query_ball_point(ys, radius, p=np.inf, return_length=True)
+    nx = _marginal_counts(xs, radius)
+    ny = _marginal_counts(ys, radius)
     return float(
         digamma(k_neighbors) + digamma(n) - np.mean(digamma(nx) + digamma(ny))
     )

@@ -12,6 +12,7 @@ many other generators exist.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -19,12 +20,18 @@ import numpy as np
 __all__ = ["substream"]
 
 
+@functools.lru_cache(maxsize=256)
+def _hash_str_tag(tag: str) -> int:
+    # purpose labels are few and reused on every trial, so hash each once
+    digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def _tag_to_int(tag) -> int:
     if isinstance(tag, (int, np.integer)):
         return int(tag)
     if isinstance(tag, str):
-        digest = hashlib.sha256(tag.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
+        return _hash_str_tag(tag)
     raise TypeError(f"stream tags must be int or str, got {type(tag).__name__}")
 
 

@@ -207,3 +207,19 @@ def test_trial_seed_is_stable():
     assert trial_seed(17, 0) == trial_seed(17, 0)
     seen = {trial_seed(17, t) for t in range(100)}
     assert len(seen) == 100
+
+
+def test_stream_layout_is_pinned():
+    # literal draws: any change to tag hashing or seed derivation shows here
+    assert substream(7, "noise").random(3).tolist() == [
+        0.09411050080091243,
+        0.31648003343940745,
+        0.6012966424697159,
+    ]
+    assert substream(7, "init").standard_normal(3).tolist() == [
+        -1.415108022336888,
+        1.6555673633059749,
+        0.2172946040183647,
+    ]
+    assert trial_seed(11, 3) == 3256922838727500079
+    assert trial_seed(11, 0) == 6279572177228333704

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from dpdopt import (
     ScheduleParams,
@@ -19,6 +21,8 @@ from dpdopt import (
     stepsize,
     trial_seed,
 )
+from dpdopt.privacy_eval import _marginal_counts
+from dpdopt.rng import substream
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,64 @@ def test_knn_mi_deterministic():
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal(200), rng.standard_normal(200)
     assert knn_mutual_information(x, y) == knn_mutual_information(x, y)
+
+
+def _tree_counts(a, r):
+    return cKDTree(a).query_ball_point(a, r, p=np.inf, return_length=True)
+
+
+@pytest.mark.parametrize("case", ["integer-grid", "near-1e3", "repeated", "zero-radii"])
+def test_marginal_counts_equal_kdtree(case):
+    rng = np.random.default_rng(11)
+    if case == "integer-grid":
+        # many |x_j - x_i| equal r exactly
+        a = rng.integers(0, 30, 400).astype(float)
+        r = rng.integers(0, 6, 400).astype(float)
+    elif case == "near-1e3":
+        # the 1e-15 shrink of a gap is below one ulp here
+        a = 1e3 + rng.standard_normal(400) * 1e-11
+        r = np.maximum(np.abs(a - np.roll(a, 1)) - 1e-15, 0.0)
+    else:
+        a = np.repeat(rng.standard_normal(40), 10)
+        r = np.abs(rng.standard_normal(400)) * 0.5
+        r[::4] = 0.0
+        if case == "zero-radii":
+            r[:] = 0.0
+    assert np.array_equal(_marginal_counts(a[:, None], r), _tree_counts(a[:, None], r))
+
+
+def _kdtree_mi(xs, ys, k=3):
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+    rng = substream(0, "mi-jitter")
+    xs = xs + rng.uniform(-1e-10, 1e-10, xs.shape)
+    ys = ys + rng.uniform(-1e-10, 1e-10, ys.shape)
+    joint = np.hstack([xs, ys])
+    radius = cKDTree(joint).query(joint, k=k + 1, p=np.inf)[0][:, k]
+    radius = np.maximum(radius - 1e-15, 0.0)
+    nx, ny = _tree_counts(xs, radius), _tree_counts(ys, radius)
+    return float(digamma(k) + digamma(len(xs)) - np.mean(digamma(nx) + digamma(ny)))
+
+
+def test_ksg_counts_match_kdtree_on_leakage_data(triangle):
+    pr, wm, _ = triangle
+    sp = ScheduleParams(gamma=0.01, beta=100.0, q1=0.5, q2=0.99, epsilon=1.0, delta=1.0)
+    ds = collect_attacker_view(pr, wm.W, sp, T=3, trials=2000, seed=9)
+    v, est = ds.V[:, 2], ds.estimate_reconstruction[:, 2]
+    jitter = substream(0, "mi-jitter").uniform(-1e-10, 1e-10, (2, 2000))
+    xs, ys = (v + jitter[0])[:, None], (est + jitter[1])[:, None]
+    joint = np.hstack([xs, ys])
+    r = np.maximum(cKDTree(joint).query(joint, k=4, p=np.inf)[0][:, 3] - 1e-15, 0.0)
+    for a in (xs, ys):
+        # a plain searchsorted window misses boundary points here
+        s = np.sort(a[:, 0])
+        plain = np.searchsorted(s, a[:, 0] + r, "right") - np.searchsorted(s, a[:, 0] - r)
+        assert np.any(plain != _tree_counts(a, r))
+        assert np.array_equal(_marginal_counts(a, r), _tree_counts(a, r))
+    assert knn_mutual_information(v, est) == _kdtree_mi(v, est)
+    assert knn_mutual_information(v, v) == _kdtree_mi(v, v)
+    triple = ds.triple()[:, 2]
+    assert knn_mutual_information(v, triple) == _kdtree_mi(v, triple)
 
 
 def test_mnmi_is_one_for_perfect_estimate(dataset):
