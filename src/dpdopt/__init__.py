@@ -28,15 +28,9 @@ from .analysis import (
 from .cli import cli, main
 from .engine import (
     ALGORITHMS,
-    NetworkState,
     Trace,
     monte_carlo,
     run,
-    step_alg1,
-    step_dgd_true_consensus,
-    step_dgd_true_gradient,
-    step_dpdgd,
-    step_gt,
     trial_seed,
 )
 from .errors import (
@@ -115,7 +109,6 @@ __all__ = [
     "GainSystem",
     "Graph",
     "MnmiReport",
-    "NetworkState",
     "Problem",
     "ProblemError",
     "QuadraticCost",
@@ -167,11 +160,6 @@ __all__ = [
     "sigma_for_schedule",
     "spectral_constants",
     "spend_from_sensitivities",
-    "step_alg1",
-    "step_dgd_true_consensus",
-    "step_dgd_true_gradient",
-    "step_dpdgd",
-    "step_gt",
     "stepsize",
     "substream",
     "summarize",

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _mat, _obs_step, trial_seed
+from .engine import _mat, _obs_step, _schedule_arrays, _trial_streams, trial_seed
 from .errors import ScheduleError
 from .objective import AdjacentPair
 from .rng import substream
-from .schedule import ScheduleParams, laplace_from_uniform, noise_scale, stepsize
+from .schedule import ScheduleParams, laplace_from_uniform
 
 __all__ = [
     "AUDIT_ALGORITHMS",
@@ -97,26 +97,19 @@ def audit_sensitivity(
     if Wm.shape != (n, n):
         raise ValueError(f"weight matrix shape {Wm.shape} does not match n={n}")
 
-    ks = np.arange(1, T + 1)
-    alphas = np.atleast_1d(stepsize(sp, ks))
-    nus = np.atleast_1d(noise_scale(sp, ks))
-
+    alphas, nus = _schedule_arrays(sp, T)
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    X0 = np.stack([substream(s, "init").standard_normal((n, p)) for s in seeds])
-    U = np.stack([substream(s, "noise").random((T, n, p)) for s in seeds])
-
-    Xb = X0.copy()
-    Xp = X0.copy()
-    Yb = np.zeros_like(X0)
-    Yp = np.zeros_like(X0)
+    Xb, U = _trial_streams(seeds, n, p, T)
+    Xp = Xb
+    Yb = Yp = np.zeros_like(Xb)
     others = np.arange(n) != pair.i0
 
     gaps = np.empty((trials, T))
     off_target = 0.0
     for idx in range(T):
         Z = Xb + laplace_from_uniform(U[:, idx], nus[idx])
-        Xb, Yb = _obs_step(algorithm, Xb, Yb, Z, Wm, pair.base, alphas[idx], sp.beta)
-        Xp, Yp = _obs_step(algorithm, Xp, Yp, Z, Wm, pair.perturbed, alphas[idx], sp.beta)
+        Xb, Yb, _ = _obs_step(algorithm, Xb, Yb, Z, Wm, pair.base, alphas[idx], sp.beta)
+        Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, Z, Wm, pair.perturbed, alphas[idx], sp.beta)
         D = np.abs(Xb - Xp)
         gaps[:, idx] = D.sum(axis=(1, 2))
         off_target = max(off_target, float(D[:, others, :].max(initial=0.0)))
@@ -186,8 +179,7 @@ def compare_sensitivities(
         gap = envelopes[lo].delta_hat - envelopes[hi].delta_hat
         ordering_gap[f"{lo}<={hi}"] = float(np.max(gap))
 
-    ks = np.arange(1, T + 1)
-    alphas = np.atleast_1d(stepsize(sp, ks))
+    alphas, _ = _schedule_arrays(sp, T)
     base_term = pair.delta * alphas
     w_ii = float(_mat(W)[pair.i0, pair.i0])
     L = pair.base.smoothness

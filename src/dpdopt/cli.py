@@ -262,6 +262,17 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of --jobs, --trials and --iterations: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpdopt",
@@ -275,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--trace", help="override output.trace")
     p.add_argument("--summary", help="override output.summary")
     fmt(p, choices=("json",))
@@ -283,8 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="sensitivity envelopes and orderings")
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--trials", type=_count)
+    p.add_argument("--iterations", type=_count)
     p.add_argument("--i0", type=int, default=0, help="perturbed agent index")
     p.add_argument("--delta", type=float, help="override adjacency bound")
     p.add_argument("--algorithm", choices=analysis.AUDIT_ALGORITHMS, default="alg1",
@@ -315,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mnmi", help="three-agent leakage scenario")
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--trials", type=_count)
+    p.add_argument("--iterations", type=_count)
     p.add_argument("--epsilon", type=float, help="override schedule.epsilon")
     p.add_argument("--neighbors", type=int, default=3)
     p.add_argument("--variant", choices=("reconstruction", "verbatim"),
@@ -333,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", required=True,
                    help="comma-separated tags, e.g. alg1,dp-dgd")
     p.add_argument("--epsilon", type=float, help="override schedule.epsilon")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trials", type=_count)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--out", help="write output here instead of stdout")
     fmt(p)
     p.set_defaults(func=_cmd_compare)

@@ -1,6 +1,6 @@
 """Iteration kernels and trajectory simulation.
 
-Six dynamics share one interface. States live in (n, p) matrices (or
+Seven dynamics share one interface. States live in (n, p) matrices (or
 (trials, n, p) batches; every kernel broadcasts over leading axes):
 
   alg1                 noisy tracking: agents share z = x + xi, keep a
@@ -17,6 +17,13 @@ Six dynamics share one interface. States live in (n, p) matrices (or
 
 The three *-constant/noiseless tags require delta = 0 schedules and use
 alpha = gamma at every iteration; the rest follow the geometric schedule.
+
+`_KERNELS` maps each name to its step kernel; the two *-noiseless-constant
+dynamics reuse the alg1 and dp-dgd kernels. Every kernel maps
+(X, Y, Z, W, pr, a_k, beta) to (X, Y, G): Z is what went over the wire (X
+itself when noiseless) and G the stacked gradient the step used. The
+simulator, the sensitivity audit and the attacker view share the kernels,
+the trial streams, the schedule arrays and the chunk sizes defined here.
 """
 
 from __future__ import annotations
@@ -32,118 +39,112 @@ from .schedule import ScheduleParams, laplace_from_uniform, noise_scale, stepsiz
 
 __all__ = [
     "ALGORITHMS",
-    "NetworkState",
-    "Observation",
     "Trace",
-    "step_alg1",
-    "step_dpdgd",
-    "step_dgd_true_consensus",
-    "step_dgd_true_gradient",
-    "step_gt",
     "run",
     "monte_carlo",
     "trial_seed",
 ]
-
-ALGORITHMS = (
-    "alg1",
-    "dp-dgd",
-    "dgd-true-consensus",
-    "dgd-true-gradient",
-    "gt-noiseless",
-    "alg1-noiseless-constant",
-    "dgd-noiseless-constant",
-)
-
-_CONSTANT_STEP = {"gt-noiseless", "alg1-noiseless-constant", "dgd-noiseless-constant"}
-
-
-@dataclass
-class NetworkState:
-    """Agent states X and correction/tracker states Y after iteration k."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    k: int
-
-
-@dataclass
-class Observation:
-    """What went over the wire during one iteration."""
-
-    Z: np.ndarray
 
 
 def _mat(W) -> np.ndarray:
     return np.asarray(getattr(W, "W", W), dtype=float)
 
 
-def _obs_step(algorithm: str, X, Y, Z, W: np.ndarray, pr: Problem, a_k: float, beta: float):
-    """Advance one iteration given the shared observation matrix Z.
-
-    This is the single source of truth for the four observation-driven
-    dynamics. The sensitivity audit replays a recorded Z into two coupled
-    systems; routing both the simulator and the audit through this function
-    makes the untouched agents bitwise identical across the pair.
-    """
-    if algorithm == "alg1":
-        Zbar = W @ Z
-        Ynew = Y + beta * (Z - Zbar)
-        # 1^T y = 0 is an invariant of the exact update (columns of I - W sum
-        # to zero), but the beta-scaled matmul rounding would otherwise leak
-        # into the mean and compound over thousands of iterations; re-project
-        # onto the invariant manifold each step.
-        Ynew = Ynew - Ynew.mean(axis=-2, keepdims=True)
-        return Zbar - a_k * (Ynew + pr.gradients(Z)), Ynew
-    if algorithm == "dp-dgd":
-        return W @ Z - a_k * pr.gradients(Z), Y
-    if algorithm == "dgd-true-consensus":
-        d = np.diag(W)
-        if Z.ndim == 3:
-            d = d[None, :, None]
-        else:
-            d = d[:, None]
-        return d * X + (W @ Z - d * Z) - a_k * pr.gradients(Z), Y
-    if algorithm == "dgd-true-gradient":
-        return W @ Z - a_k * pr.gradients(X), Y
-    raise ValueError(f"no observation-driven dynamic named {algorithm!r}")
+def _step_alg1(X, Y, Z, W, pr: Problem, a_k, beta):
+    Zbar = W @ Z
+    Ynew = Y + beta * (Z - Zbar)
+    # 1^T y = 0 is an invariant of the exact update (columns of I - W sum
+    # to zero), but the beta-scaled matmul rounding would otherwise leak
+    # into the mean and compound over thousands of iterations; re-project
+    # onto the invariant manifold each step.
+    Ynew = Ynew - Ynew.mean(axis=-2, keepdims=True)
+    G = pr.gradients(Z)
+    return Zbar - a_k * (Ynew + G), Ynew, G
 
 
-def step_alg1(st: NetworkState, W, pr: Problem, alpha_k: float, beta: float, Xi):
-    """One noisy tracking step; returns (new state, shared observation)."""
-    Z = st.X + Xi
-    X, Y = _obs_step("alg1", st.X, st.Y, Z, _mat(W), pr, alpha_k, beta)
-    return NetworkState(X, Y, st.k + 1), Observation(Z)
+def _step_dpdgd(X, Y, Z, W, pr: Problem, a_k, beta):
+    G = pr.gradients(Z)
+    return W @ Z - a_k * G, Y, G
 
 
-def step_dpdgd(st: NetworkState, W, pr: Problem, alpha_k: float, Xi):
-    Z = st.X + Xi
-    X, Y = _obs_step("dp-dgd", st.X, st.Y, Z, _mat(W), pr, alpha_k, 0.0)
-    return NetworkState(X, Y, st.k + 1), Observation(Z)
+def _step_true_consensus(X, Y, Z, W, pr: Problem, a_k, beta):
+    """The self-weight multiplies the true state: only the off-diagonal
+    (neighbor) part of the average sees noise."""
+    d = np.diag(W)[:, None]
+    G = pr.gradients(Z)
+    return d * X + (W @ Z - d * Z) - a_k * G, Y, G
 
 
-def step_dgd_true_consensus(st: NetworkState, W, pr: Problem, alpha_k: float, Xi):
-    """Diffusion where the self-weight multiplies the true state: only the
-    off-diagonal (neighbor) part of the average sees noise."""
-    Z = st.X + Xi
-    X, Y = _obs_step("dgd-true-consensus", st.X, st.Y, Z, _mat(W), pr, alpha_k, 0.0)
-    return NetworkState(X, Y, st.k + 1), Observation(Z)
+def _step_true_gradient(X, Y, Z, W, pr: Problem, a_k, beta):
+    G = pr.gradients(X)
+    return W @ Z - a_k * G, Y, G
 
 
-def step_dgd_true_gradient(st: NetworkState, W, pr: Problem, alpha_k: float, Xi):
-    """Diffusion with gradients evaluated at the true previous state."""
-    Z = st.X + Xi
-    X, Y = _obs_step("dgd-true-gradient", st.X, st.Y, Z, _mat(W), pr, alpha_k, 0.0)
-    return NetworkState(X, Y, st.k + 1), Observation(Z)
-
-
-def step_gt(st: NetworkState, W, pr: Problem, alpha: float):
+def step_gt(X, Y, Z, W, pr: Problem, a_k, beta):
     """Gradient tracking: x <- Wx - alpha y, then the tracker absorbs the
-    gradient increment. Requires Y(0) = grad F(X(0))."""
-    W = _mat(W)
-    X = W @ st.X - alpha * st.Y
-    Y = W @ st.Y + pr.gradients(X) - pr.gradients(st.X)
-    return NetworkState(X, Y, st.k + 1), Observation(st.X)
+    gradient increment. Requires Y(0) = grad F(X(0)); G is grad F(x(k+1))."""
+    Xnew = W @ X - a_k * Y
+    G = pr.gradients(Xnew)
+    return Xnew, W @ Y + G - pr.gradients(X), G
+
+
+_KERNELS = {
+    "alg1": _step_alg1,
+    "dp-dgd": _step_dpdgd,
+    "dgd-true-consensus": _step_true_consensus,
+    "dgd-true-gradient": _step_true_gradient,
+    "gt-noiseless": step_gt,
+    "alg1-noiseless-constant": _step_alg1,
+    "dgd-noiseless-constant": _step_dpdgd,
+}
+
+ALGORITHMS = tuple(_KERNELS)
+
+_CONSTANT_STEP = frozenset(name for name in ALGORITHMS if "noiseless" in name)
+
+
+def _obs_step(algorithm: str, X, Y, Z, W: np.ndarray, pr: Problem, a_k: float, beta: float):
+    """Advance one iteration given the shared observation matrix Z; returns
+    (X, Y, G).
+
+    This is the single source of truth for every dynamic. The sensitivity
+    audit replays a recorded Z into two coupled systems; routing both the
+    simulator and the audit through this function makes the untouched
+    agents bitwise identical across the pair.
+    """
+    return _KERNELS[algorithm](X, Y, Z, W, pr, a_k, beta)
+
+
+def _trial_streams(seeds, n: int, p: int, T: int | None, x0=None):
+    """Initial states (trials, n, p) and uniform blocks (trials, T, n, p).
+
+    Trial seed s owns substream(s, "init"), which draws its initial state
+    unless x0 (broadcast to every trial) is given, and substream(s,
+    "noise"), whose row k - 1 drives iteration k. With T None no noise
+    stream is drawn and the block is None.
+    """
+    if x0 is None:
+        X0 = np.stack([substream(s, "init").standard_normal((n, p)) for s in seeds])
+    else:
+        X0 = np.broadcast_to(np.asarray(x0, dtype=float), (len(seeds), n, p)).copy()
+    if T is None:
+        return X0, None
+    return X0, np.stack([substream(s, "noise").random((T, n, p)) for s in seeds])
+
+
+def _schedule_arrays(sp: ScheduleParams, T: int, constant: bool = False):
+    """Stepsizes alpha_k and noise scales nu_k for k = 1..T, as arrays;
+    constant gives alpha_k = gamma and nu_k = 0."""
+    if constant:
+        return np.full(T, sp.gamma), np.zeros(T)
+    ks = np.arange(1, T + 1)
+    return stepsize(sp, ks), noise_scale(sp, ks)
+
+
+def _chunk_size(trials: int, T: int, n: int, p: int) -> int:
+    """Trials per chunk that keep its preallocated uniform block under ~256 MB."""
+    per_trial = max(1, T * n * p * 8)
+    return max(1, min(trials, (256 << 20) // per_trial))
 
 
 @dataclass
@@ -181,31 +182,11 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
 def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
     """Simulate len(seeds) coupled-shape trials at once. Returns traces."""
     W = _mat(W)
-    n, p = pr.n, pr.p
     trials = len(seeds)
-    ones_mean = 1.0 / n
-
-    if x0 is None:
-        X = np.stack([substream(s, "init").standard_normal((n, p)) for s in seeds])
-    else:
-        X = np.broadcast_to(np.asarray(x0, dtype=float), (trials, n, p)).copy()
-
     noisy = algorithm not in _CONSTANT_STEP and sp.delta > 0.0
-    if noisy:
-        U = np.stack([substream(s, "noise").random((T, n, p)) for s in seeds])
-
-    if algorithm == "gt-noiseless":
-        Y = pr.gradients(X)
-    else:
-        Y = np.zeros_like(X)
-
-    ks = np.arange(1, T + 1)
-    if algorithm in _CONSTANT_STEP:
-        alphas = np.full(T, sp.gamma)
-        nus = np.zeros(T)
-    else:
-        alphas = np.atleast_1d(stepsize(sp, ks)) if T else np.zeros(0)
-        nus = np.atleast_1d(noise_scale(sp, ks)) if T else np.zeros(0)
+    X, U = _trial_streams(seeds, pr.n, pr.p, T if noisy else None, x0)
+    alphas, nus = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
+    Y = pr.gradients(X) if algorithm == "gt-noiseless" else np.zeros_like(X)
 
     residual = np.empty((trials, T + 1))
     consensus = np.empty((trials, T + 1))
@@ -226,15 +207,20 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
 
     metrics(0, X, None)
 
-    y_mean_max = 0.0
-    mean_dyn_max = 0.0
-    tracking_max = 0.0
-    runsum_max = 0.0
-    if algorithm == "gt-noiseless":
-        g0 = pr.gradients(X)
-        tracking_max = float(np.max(np.abs(Y.mean(axis=1) - g0.mean(axis=1))))
+    # invariant diagnostics: the worst residual of each identity over the run
+    alg1_kernel = _KERNELS[algorithm] is _step_alg1
+    diagnostics = {"y_mean_abs_max": 0.0}
+    if alg1_kernel:
+        diagnostics["mean_dynamics_resid_max"] = 0.0
     if algorithm == "alg1-noiseless-constant":
+        diagnostics["unrolled_runsum_resid_max"] = 0.0
         S = np.zeros_like(X)  # running sum of (W - I) X(l), l = 0..k-1
+    if algorithm == "gt-noiseless":
+        # Y(0) is grad F(X(0)) itself, so the residual starts at exactly 0
+        diagnostics["tracking_resid_max"] = 0.0
+
+    def worst(key, resid):
+        diagnostics[key] = max(diagnostics[key], float(np.max(np.abs(resid))))
 
     snaps_X, snaps_Y, snaps_Z = [], [], []
     if retain:
@@ -243,54 +229,36 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
 
     for idx in range(T):
         a_k = float(alphas[idx])
+        Xprev = X
         if noisy:
-            # column idx of the preallocated uniform block drives this step,
+            # row idx of the preallocated uniform block drives this step,
             # so base/perturbed twins consume identical noise by design
             Xi = laplace_from_uniform(U[:, idx], nus[idx])
-        else:
-            Xi = 0.0
-
-        Xprev = X
-        if algorithm in ("alg1", "alg1-noiseless-constant"):
             Z = Xprev + Xi
-            if algorithm == "alg1-noiseless-constant":
-                # y(k+1) = -beta * sum_{l<=k} (W - I) x(l), so the sum must
-                # include the current state before predicting x(k+1)
-                S = S + (W @ X - X)
-                predicted = W @ X - a_k * pr.gradients(X) + a_k * sp.beta * S
-            X, Y = _obs_step("alg1", Xprev, Y, Z, W, pr, a_k, sp.beta)
-            if algorithm == "alg1-noiseless-constant":
-                runsum_max = max(runsum_max, float(np.max(np.abs(X - predicted))))
-            y_mean_max = max(y_mean_max, float(np.max(np.abs(Y.mean(axis=1)))))
+        else:
+            Z = Xprev
+        X, Y, G = _obs_step(algorithm, Xprev, Y, Z, W, pr, a_k, sp.beta)
+
+        if alg1_kernel:
+            worst("y_mean_abs_max", Y.mean(axis=1))
             # mean dynamics: xbar(k) = xbar(k-1) - (a_k/n) 1^T grad F(z) + mean(xi)
             xi_mean = Xi.mean(axis=1) if noisy else 0.0
-            rhs = Xprev.mean(axis=1) - a_k * pr.gradients(Z).mean(axis=1) + xi_mean
-            mean_dyn_max = max(mean_dyn_max, float(np.max(np.abs(X.mean(axis=1) - rhs))))
-        elif algorithm in ("dp-dgd", "dgd-true-consensus", "dgd-true-gradient"):
-            X, Y = _obs_step(algorithm, Xprev, Y, Xprev + Xi, W, pr, a_k, 0.0)
-        elif algorithm == "dgd-noiseless-constant":
-            X, Y = _obs_step("dp-dgd", Xprev, Y, Xprev, W, pr, a_k, 0.0)
-        elif algorithm == "gt-noiseless":
-            st, _obs = step_gt(NetworkState(X, Y, idx), W, pr, a_k)
-            X, Y = st.X, st.Y
-            tracking_max = max(
-                tracking_max,
-                float(np.max(np.abs(Y.mean(axis=1) - pr.gradients(X).mean(axis=1)))),
-            )
+            rhs = Xprev.mean(axis=1) - a_k * G.mean(axis=1) + xi_mean
+            worst("mean_dynamics_resid_max", X.mean(axis=1) - rhs)
+        if algorithm == "alg1-noiseless-constant":
+            # y(k+1) = -beta * sum_{l<=k} (W - I) x(l), so the sum must
+            # include the current state before predicting x(k+1)
+            S = S + (W @ Xprev - Xprev)
+            predicted = W @ Xprev - a_k * G + a_k * sp.beta * S
+            worst("unrolled_runsum_resid_max", X - predicted)
+        if algorithm == "gt-noiseless":
+            worst("tracking_resid_max", Y.mean(axis=1) - G.mean(axis=1))
 
         metrics(idx + 1, X, Xprev)
         if retain:
             snaps_X.append(X.copy())
             snaps_Y.append(Y.copy())
-            snaps_Z.append((Xprev + Xi).copy() if noisy else Xprev.copy())
-
-    diagnostics = {"y_mean_abs_max": y_mean_max}
-    if algorithm in ("alg1", "alg1-noiseless-constant"):
-        diagnostics["mean_dynamics_resid_max"] = mean_dyn_max
-    if algorithm == "alg1-noiseless-constant":
-        diagnostics["unrolled_runsum_resid_max"] = runsum_max
-    if algorithm == "gt-noiseless":
-        diagnostics["tracking_resid_max"] = tracking_max
+            snaps_Z.append(Z.copy())
 
     traces = []
     for t in range(trials):
@@ -366,9 +334,7 @@ def monte_carlo(
     seeds = [trial_seed(seed, t) for t in range(trials)]
 
     if chunk is None:
-        # keep the preallocated noise block under ~256 MB
-        per_trial = max(1, T * pr.n * pr.p * 8)
-        chunk = max(1, min(trials, (256 << 20) // per_trial))
+        chunk = _chunk_size(trials, T, pr.n, pr.p)
     pieces = [seeds[i : i + chunk] for i in range(0, trials, chunk)]
 
     if jobs <= 1 or len(pieces) == 1:

@@ -21,7 +21,6 @@ Configs are flat key = value text with dotted section prefixes:
     run.iterations = 200
     run.trials = 100
     run.seed = 0
-    run.retain = false              # optional
     output.trace = trace.csv        # optional
     output.summary = summary.json   # optional
 
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ALGORITHMS, Trace, monte_carlo
+from .engine import _CONSTANT_STEP, ALGORITHMS, Trace, monte_carlo
 from .errors import ConfigError, ScheduleError
 from .objective import Problem, optimum, random_problem
 from .schedule import ScheduleParams, privacy_spent
@@ -88,7 +87,6 @@ _REQUIRED = (
 _OPTIONAL = (
     "topology.p_edge",
     "topology.seed",
-    "run.retain",
     "output.trace",
     "output.summary",
 )
@@ -109,7 +107,6 @@ class ExperimentConfig:
     iterations: int
     trials: int
     seed: int
-    retain: bool
     trace_path: str | None
     summary_path: str | None
     raw: tuple  # ((key, value) pairs as parsed, for echoing into summaries
@@ -158,16 +155,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             return None
         return value
 
-    def boolean(text: str) -> bool:
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(text)
-
-    boolean.__name__ = "boolean"
-
     kind = take("topology.kind", str, lambda s: s in _TOPOLOGY_KINDS,
                 f"must be one of {_TOPOLOGY_KINDS}")
     n = take("topology.n", int, lambda v: v >= 3, "must be >= 3")
@@ -206,13 +193,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     iterations = take("run.iterations", int, lambda v: v >= 1, "must be >= 1")
     trials = take("run.trials", int, lambda v: v >= 1, "must be >= 1")
     seed = take("run.seed", int)
-    retain = take("run.retain", boolean)
-    if algorithm is not None and schedule is not None:
-        noiseless = ("gt-noiseless", "alg1-noiseless-constant", "dgd-noiseless-constant")
-        if algorithm in noiseless and schedule.delta != 0.0:
-            problems.append(
-                f"run.algorithm: {algorithm} is noiseless and needs schedule.delta = 0"
-            )
+    if algorithm in _CONSTANT_STEP and schedule is not None and schedule.delta != 0.0:
+        problems.append(
+            f"run.algorithm: {algorithm} is noiseless and needs schedule.delta = 0"
+        )
 
     if problems:
         raise ConfigError(problems)
@@ -231,7 +215,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         iterations=iterations,
         trials=trials,
         seed=seed,
-        retain=bool(retain),
         trace_path=pairs.get("output.trace"),
         summary_path=pairs.get("output.summary"),
         raw=tuple(sorted(pairs.items())),

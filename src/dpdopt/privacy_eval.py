@@ -24,10 +24,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .engine import _mat, _obs_step, trial_seed
+from .engine import _chunk_size, _mat, _obs_step, _schedule_arrays, _trial_streams, trial_seed
 from .objective import Problem
 from .rng import substream
-from .schedule import ScheduleParams, laplace_from_uniform, noise_scale, stepsize
+from .schedule import ScheduleParams, laplace_from_uniform
 
 __all__ = [
     "AttackerDataset",
@@ -97,36 +97,29 @@ def collect_attacker_view(
     if Wm.shape != (3, 3):
         raise ValueError(f"weight matrix shape {Wm.shape}, expected (3, 3)")
 
-    ks = np.arange(1, T + 2)
-    alphas = stepsize(sp, ks)
-    nus = noise_scale(sp, ks)
-
+    alphas, nus = _schedule_arrays(sp, T + 1)
     out = {
         name: np.empty((trials, T))
         for name in ("V", "z0", "y0", "estimate_verbatim", "estimate_reconstruction")
     }
 
-    # chunk trials so the preallocated uniform block stays modest
-    per_trial = (T + 1) * 3 * 8
-    chunk = max(1, min(trials, (256 << 20) // per_trial))
+    chunk = _chunk_size(trials, T + 1, 3, 1)
     for start in range(0, trials, chunk):
         seeds = [trial_seed(seed, t) for t in range(start, min(start + chunk, trials))]
-        X = np.stack([substream(s, "init").standard_normal((3, 1)) for s in seeds])
-        U = np.stack([substream(s, "noise").random((T + 1, 3, 1)) for s in seeds])
+        X, U = _trial_streams(seeds, 3, 1, T + 1)
         Y = np.zeros_like(X)
         sl = slice(start, start + len(seeds))
 
         zbar_prev = None
         for idx in range(T + 1):
             Z = X + laplace_from_uniform(U[:, idx], nus[idx])
-            # same update the simulator runs; Zbar and the gradients are
-            # recomputed here only because the step keeps them internal
+            # same update the simulator runs; Zbar is recomputed here only
+            # because the step keeps it internal
             Zbar = Wm @ Z
-            grads = pr.gradients(Z)
-            X, Y = _obs_step("alg1", X, Y, Z, Wm, pr, alphas[idx], sp.beta)
+            X, Y, G = _obs_step("alg1", X, Y, Z, Wm, pr, alphas[idx], sp.beta)
             z0 = Z[:, 0, 0]
             if idx < T:
-                out["V"][sl, idx] = grads[:, 0, 0]
+                out["V"][sl, idx] = G[:, 0, 0]
                 out["z0"][sl, idx] = z0
                 out["y0"][sl, idx] = Y[:, 0, 0]
                 out["estimate_verbatim"][sl, idx] = (

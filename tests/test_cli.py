@@ -6,10 +6,14 @@ captured output, exactly as a shell user would see it.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpdopt
 from dpdopt.cli import cli
 
 MAIN_CFG = """\
@@ -297,3 +301,33 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 def test_no_arguments_is_usage_error(capsys):
     assert cli([]) == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--trials", "-2"],
+        ["audit", "--trials", "0"],
+        ["mnmi", "--iterations", "-1"],
+        ["compare", "--algorithms", "alg1", "--trials", "-1"],
+        ["compare", "--algorithms", "alg1", "--jobs", "0"],
+        ["run", "--jobs", "two"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(main_cfg, argv, capsys):
+    # rejected while parsing, before the config is read or anything runs
+    assert cli([argv[0], "--config", main_cfg, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(dpdopt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpdopt", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: dpdopt")

@@ -5,20 +5,17 @@ import pytest
 
 from dpdopt import (
     ALGORITHMS,
-    NetworkState,
     ScheduleError,
     ScheduleParams,
     laplace_from_uniform,
     monte_carlo,
     noise_scale,
     run,
-    step_alg1,
-    step_dpdgd,
-    step_gt,
     stepsize,
     substream,
     trial_seed,
 )
+from dpdopt.engine import _obs_step
 
 
 @pytest.fixture(scope="module")
@@ -125,49 +122,29 @@ def test_validation_errors(setup):
             run(pr, wm.W, sp, alg, 5, seed=0)
 
 
-def test_step_alg1_matches_batched(setup):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_kernel_matches_batched(setup, algorithm):
+    # step the kernel by hand from the retained initial state, building each
+    # observation from the documented streams, and require the simulator's
+    # Z, X and Y bitwise at every step
     pr, wm, sp = setup
+    noiseless = algorithm.endswith(("noiseless", "noiseless-constant"))
+    if noiseless:
+        sp = ScheduleParams(gamma=0.002, beta=500.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
     seed, T = 13, 7
-    tr = run(pr, wm.W, sp, "alg1", T, seed=seed, retain=True)
+    tr = run(pr, wm.W, sp, algorithm, T, seed=seed, retain=True)
     U = substream(seed, "noise").random((T, pr.n, pr.p))
     ks = np.arange(1, T + 1)
-    alphas = np.asarray(stepsize(sp, ks))
+    alphas = np.full(T, sp.gamma) if noiseless else np.asarray(stepsize(sp, ks))
     nus = np.asarray(noise_scale(sp, ks))
-    st = NetworkState(tr.snapshots["X"][0].copy(), np.zeros((pr.n, pr.p)), 0)
+    X = tr.snapshots["X"][0].copy()
+    Y = pr.gradients(X) if algorithm == "gt-noiseless" else np.zeros_like(X)
     for k in range(T):
-        Xi = laplace_from_uniform(U[k], nus[k])
-        st, obs = step_alg1(st, wm, pr, float(alphas[k]), sp.beta, Xi)
-        assert np.array_equal(obs.Z, tr.snapshots["Z"][k])
-        assert np.array_equal(st.X, tr.snapshots["X"][k + 1])
-        assert np.array_equal(st.Y, tr.snapshots["Y"][k + 1])
-    assert st.k == T
-
-
-def test_step_dpdgd_matches_batched(setup):
-    pr, wm, sp = setup
-    seed, T = 29, 5
-    tr = run(pr, wm.W, sp, "dp-dgd", T, seed=seed, retain=True)
-    U = substream(seed, "noise").random((T, pr.n, pr.p))
-    ks = np.arange(1, T + 1)
-    alphas = np.asarray(stepsize(sp, ks))
-    nus = np.asarray(noise_scale(sp, ks))
-    st = NetworkState(tr.snapshots["X"][0].copy(), np.zeros((pr.n, pr.p)), 0)
-    for k in range(T):
-        Xi = laplace_from_uniform(U[k], nus[k])
-        st, _ = step_dpdgd(st, wm, pr, float(alphas[k]), Xi)
-        assert np.array_equal(st.X, tr.snapshots["X"][k + 1])
-
-
-def test_step_gt_matches_batched(setup):
-    pr, wm, _ = setup
-    sp0 = ScheduleParams(gamma=0.002, beta=1.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
-    tr = run(pr, wm.W, sp0, "gt-noiseless", 6, seed=8, retain=True)
-    X0 = tr.snapshots["X"][0].copy()
-    st = NetworkState(X0, pr.gradients(X0), 0)
-    for k in range(6):
-        st, _ = step_gt(st, wm, pr, sp0.gamma)
-        assert np.array_equal(st.X, tr.snapshots["X"][k + 1])
-        assert np.array_equal(st.Y, tr.snapshots["Y"][k + 1])
+        Z = X if noiseless else X + laplace_from_uniform(U[k], nus[k])
+        assert np.array_equal(Z, tr.snapshots["Z"][k])
+        X, Y, _ = _obs_step(algorithm, X, Y, Z, wm.W, pr, float(alphas[k]), sp.beta)
+        assert np.array_equal(X, tr.snapshots["X"][k + 1])
+        assert np.array_equal(Y, tr.snapshots["Y"][k + 1])
 
 
 def test_noiseless_constant_observations_are_states(setup):

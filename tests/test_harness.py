@@ -70,7 +70,6 @@ def test_parse_round_trip_all_fields():
             "topology.kind": "erdos-renyi",
             "topology.p_edge": "0.4",
             "topology.seed": "7",
-            "run.retain": "true",
             "output.trace": "t.csv",
             "output.summary": "s.json",
         }
@@ -94,20 +93,17 @@ def test_parse_round_trip_all_fields():
     assert cfg.iterations == 12
     assert cfg.trials == 4
     assert cfg.seed == 0
-    assert cfg.retain is True
     assert cfg.trace_path == "t.csv"
     assert cfg.summary_path == "s.json"
     # the raw echo preserves the parsed strings, sorted by key
     assert cfg.raw == tuple(sorted(cfg.raw))
     assert ("topology.kind", "erdos-renyi") in cfg.raw
-    assert ("run.retain", "true") in cfg.raw
 
 
 def test_parse_optional_defaults():
     cfg = parse_config_text(config_text())
     assert cfg.p_edge is None
     assert cfg.topology_seed is None
-    assert cfg.retain is False
     assert cfg.trace_path is None
     assert cfg.summary_path is None
 
@@ -130,6 +126,7 @@ def test_collects_every_violation_at_once():
             "run.algorithm": "sgd",
             "run.seed": _DELETE,
             "bogus.key": "1",
+            "run.retain": "true",
         }
     )
     found = violations_of(text)
@@ -140,6 +137,7 @@ def test_collects_every_violation_at_once():
     assert "run.algorithm: must be one of" in joined
     assert "missing key 'run.seed'" in joined
     assert "unknown key 'bogus.key'" in joined
+    assert "unknown key 'run.retain'" in joined
 
 
 def test_erdos_renyi_requires_edge_probability_and_seed():
@@ -162,20 +160,6 @@ def test_noiseless_algorithm_requires_zero_delta():
         )
     )
     assert cfg.schedule.delta == 0.0
-
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [("true", True), ("1", True), ("yes", True), ("false", False), ("0", False), ("no", False)],
-)
-def test_boolean_spellings(raw, expected):
-    cfg = parse_config_text(config_text(**{"run.retain": raw}))
-    assert cfg.retain is expected
-
-
-def test_boolean_rejects_other_text():
-    found = violations_of(config_text(**{"run.retain": "maybe"}))
-    assert any("run.retain: cannot parse 'maybe' as boolean" in v for v in found)
 
 
 def test_duplicate_and_malformed_lines_carry_line_numbers():
