@@ -72,7 +72,6 @@ from .rng import substream
 from .schedule import (
     ScheduleParams,
     laplace_from_uniform,
-    laplace_sample,
     noise_scale,
     privacy_spent,
     spend_from_sensitivities,
@@ -86,13 +85,9 @@ from .topology import (
     is_connected,
     metropolis_weights,
     mixing_matrix_at,
-    read_edgelist,
-    read_weights_csv,
     ring,
     sigma_for_schedule,
     spectral_constants,
-    write_edgelist,
-    write_weights_csv,
 )
 
 __version__ = "0.1.0"
@@ -136,7 +131,6 @@ __all__ = [
     "is_connected",
     "knn_mutual_information",
     "laplace_from_uniform",
-    "laplace_sample",
     "load_config",
     "main",
     "make_adjacent",
@@ -151,8 +145,6 @@ __all__ = [
     "privacy_spent",
     "q1_bound",
     "random_problem",
-    "read_edgelist",
-    "read_weights_csv",
     "rho_less_than",
     "ring",
     "run",
@@ -166,6 +158,4 @@ __all__ = [
     "trace_metrics",
     "trial_seed",
     "tune",
-    "write_edgelist",
-    "write_weights_csv",
 ]

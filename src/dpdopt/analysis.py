@@ -108,8 +108,10 @@ def audit_sensitivity(
     off_target = 0.0
     for idx in range(T):
         Z = Xb + laplace_from_uniform(U[:, idx], nus[idx])
-        Xb, Yb, _ = _obs_step(algorithm, Xb, Yb, Z, Wm, pair.base, alphas[idx], sp.beta)
-        Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, Z, Wm, pair.perturbed, alphas[idx], sp.beta)
+        # no audited dynamic reads the previous gradient, so none is passed
+        Xb, Yb, _ = _obs_step(algorithm, Xb, Yb, None, Z, Wm, pair.base, alphas[idx], sp.beta)
+        Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, None, Z, Wm, pair.perturbed, alphas[idx],
+                              sp.beta)
         D = np.abs(Xb - Xp)
         gaps[:, idx] = D.sum(axis=(1, 2))
         off_target = max(off_target, float(D[:, others, :].max(initial=0.0)))

@@ -5,14 +5,18 @@ Subcommands: run (experiment to trace CSV + summary JSON), audit
 feasible decay rates for a config's graph), tune (accuracy-bound parameter
 search), mnmi (three-agent leakage scenario), compare (residual curves for
 several dynamics on one problem). --format csv|json selects machine output;
-without it a short human-readable text is printed.
+without it a short human-readable text is printed. Each subcommand returns
+its exit status and its rendered output, which cli() writes once, to --out
+or stdout.
+
+Exit status: 0 success, 1 a failed audit check, 2 a usage or config error,
+3 an output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -26,39 +30,29 @@ from .topology import spectral_constants
 __all__ = ["cli", "main"]
 
 
-def _emit(path: str | None, data: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
 def _schedule_with(cfg, epsilon=None):
     if epsilon is None:
         return cfg.schedule
     return dataclasses.replace(cfg.schedule, epsilon=epsilon)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
     summary = harness.run_experiment(
         cfg, jobs=args.jobs, trace_path=args.trace, summary_path=args.summary
     )
-    final = summary["final_residual"]
     if args.format == "json":
-        _emit(None, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    else:
-        print(
-            f"{cfg.algorithm}: trials={summary['trials']} T={summary['iterations']} "
-            f"final residual {final['mean']:.6g} +- {final['std']:.6g} "
-            f"(spent {summary['privacy_spent']:.6g})"
-        )
-        print(f"content hash {summary['content_hash']}")
-    return 0
+        return 0, harness.format_json(summary)
+    final = summary["final_residual"]
+    return 0, (
+        f"{cfg.algorithm}: trials={summary['trials']} T={summary['iterations']} "
+        f"final residual {final['mean']:.6g} +- {final['std']:.6g} "
+        f"(spent {summary['privacy_spent']:.6g})\n"
+        f"content hash {summary['content_hash']}\n"
+    )
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
     _, wm = harness.build_graph(cfg)
     pr = harness.build_problem(cfg)
@@ -71,14 +65,8 @@ def _cmd_audit(args) -> int:
 
     env = report.envelopes[args.algorithm]
     if args.format == "csv":
-        lines = ["k,delta_hat,bound,margin"]
-        for i in range(T):
-            lines.append(
-                f"{i + 1},{float(env.delta_hat[i])!r},{float(env.bound[i])!r},"
-                f"{float(env.margin[i])!r}"
-            )
-        _emit(args.out, "\n".join(lines) + "\n")
-        return 0
+        rows = zip(range(1, T + 1), env.delta_hat, env.bound, env.margin)
+        return 0, harness.format_csv(("k", "delta_hat", "bound", "margin"), rows)
 
     checks = {
         "bound alg1": report.envelopes["alg1"].within_bound,
@@ -104,17 +92,13 @@ def _cmd_audit(args) -> int:
                 for name, e in report.envelopes.items()
             },
         }
-        _emit(args.out, json.dumps(body, indent=2, sort_keys=True) + "\n")
-        return 0
+        return 0, harness.format_json(body)
 
-    failed = 0
-    for name, ok in checks.items():
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        failed += not ok
-    return 1 if failed else 0
+    text = "".join(f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in checks.items())
+    return (0 if all(checks.values()) else 1), text
 
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
     _, wm = harness.build_graph(cfg)
     sigma, w_minus_i = spectral_constants(wm)
@@ -131,24 +115,19 @@ def _cmd_spectral(args) -> int:
         "contractive": contractive,
     }
     if args.format == "json":
-        _emit(None, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        _emit(
-            None,
-            "key,value\n" + "\n".join(f"{k},{v!r}" for k, v in rows.items()) + "\n",
-        )
-    else:
-        print(f"sigma = {sigma:.12g}")
-        print(f"||W - I|| = {w_minus_i:.12g}")
-        print(f"q1 bound (theta={args.theta:g}) = {q1_max:.12g}")
-        print(
-            f"q1 = {cfg.schedule.q1:g}: rho(A~) = {rho:.6g} "
-            f"({'contractive' if contractive else 'NOT contractive'})"
-        )
-    return 0
+        return 0, harness.format_json(rows)
+    if args.format == "csv":
+        return 0, harness.format_csv(("key", "value"), rows.items())
+    return 0, (
+        f"sigma = {sigma:.12g}\n"
+        f"||W - I|| = {w_minus_i:.12g}\n"
+        f"q1 bound (theta={args.theta:g}) = {q1_max:.12g}\n"
+        f"q1 = {cfg.schedule.q1:g}: rho(A~) = {rho:.6g} "
+        f"({'contractive' if contractive else 'NOT contractive'})\n"
+    )
 
 
-def _cmd_tune(args) -> int:
+def _cmd_tune(args) -> tuple[int, str]:
     gamma, q1, q2, bound = analysis.tune(
         args.epsilon,
         args.delta,
@@ -163,16 +142,16 @@ def _cmd_tune(args) -> int:
     )
     rows = {"gamma": gamma, "q1": q1, "q2": q2, "bound": bound}
     if args.format == "json":
-        _emit(None, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        _emit(None, "gamma,q1,q2,bound\n" + f"{gamma!r},{q1!r},{q2!r},{bound!r}\n")
-    else:
-        print(f"gamma = {gamma:.6g}, q1 = {q1:.6g}, q2 = {q2:.6g}")
-        print(f"accuracy bound = {bound:.6g}")
-    return 0
+        return 0, harness.format_json(rows)
+    if args.format == "csv":
+        return 0, harness.format_csv(rows.keys(), [rows.values()])
+    return 0, (
+        f"gamma = {gamma:.6g}, q1 = {q1:.6g}, q2 = {q2:.6g}\n"
+        f"accuracy bound = {bound:.6g}\n"
+    )
 
 
-def _cmd_mnmi(args) -> int:
+def _cmd_mnmi(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
     _, wm = harness.build_graph(cfg)
     pr = harness.build_problem(cfg)
@@ -185,52 +164,45 @@ def _cmd_mnmi(args) -> int:
     )
     if args.dataset:
         est = ds.estimate(args.variant)
-        lines = ["trial,k,v,attacker_estimate"]
-        for t in range(ds.trials):
-            for k in range(ds.K):
-                lines.append(f"{t},{k + 1},{float(ds.V[t, k])!r},{float(est[t, k])!r}")
-        _emit(args.dataset, "\n".join(lines) + "\n")
+        rows = (
+            (t, k + 1, ds.V[t, k], est[t, k]) for t in range(ds.trials) for k in range(ds.K)
+        )
+        harness._write(
+            args.dataset, harness.format_csv(("trial", "k", "v", "attacker_estimate"), rows)
+        )
 
+    # skipped iterations have a NaN ratio; they render as JSON null and an
+    # empty CSV cell
+    ratios = [None if np.isnan(r) else r for r in report.ratios]
     if args.format == "json":
         body = {
             "mnmi": report.value,
             "argmax_k": report.argmax_k,
-            "ratios": [None if np.isnan(r) else r for r in report.ratios],
+            "ratios": ratios,
             "skipped": list(report.skipped),
             "epsilon": sp.epsilon,
             "variant": args.variant,
             "joint": args.joint,
         }
-        _emit(args.out, json.dumps(body, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        lines = ["k,ratio"]
-        for i, r in enumerate(report.ratios):
-            lines.append(f"{i + 1},{'' if np.isnan(r) else repr(float(r))}")
-        _emit(args.out, "\n".join(lines) + "\n")
-    else:
-        print(
-            f"M-NMI = {report.value:.4g} at k = {report.argmax_k} "
-            f"(epsilon = {sp.epsilon:g}, variant = {args.variant}, "
-            f"trials = {trials}, K = {T})"
-        )
-    return 0
+        return 0, harness.format_json(body)
+    if args.format == "csv":
+        return 0, harness.format_csv(("k", "ratio"), enumerate(ratios, start=1))
+    return 0, (
+        f"M-NMI = {report.value:.4g} at k = {report.argmax_k} "
+        f"(epsilon = {sp.epsilon:g}, variant = {args.variant}, "
+        f"trials = {trials}, K = {T})\n"
+    )
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
     _, wm = harness.build_graph(cfg)
     pr = harness.build_problem(cfg)
     sp = _schedule_with(cfg, args.epsilon)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            print(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}",
-                  file=sys.stderr)
-            return 2
     trials = args.trials or cfg.trials
 
     curves = {}
-    for alg in algorithms:
+    for alg in args.algorithms:
         traces = monte_carlo(pr, wm, sp, alg, cfg.iterations, trials, cfg.seed,
                              jobs=args.jobs)
         stats = analysis.trace_metrics(traces)
@@ -246,20 +218,19 @@ def _cmd_compare(args) -> int:
             }
             for alg, (residual, stats) in curves.items()
         }
-        _emit(args.out, json.dumps(body, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        lines = ["algorithm,k,residual_mean"]
-        for alg, (residual, _stats) in curves.items():
-            for k, value in enumerate(residual):
-                lines.append(f"{alg},{k},{float(value)!r}")
-        _emit(args.out, "\n".join(lines) + "\n")
-    else:
-        for alg, (_residual, stats) in curves.items():
-            print(
-                f"{alg}: final residual {stats.final_residual_mean:.6g} "
-                f"+- {stats.final_residual_std:.6g}"
-            )
-    return 0
+        return 0, harness.format_json(body)
+    if args.format == "csv":
+        rows = (
+            (alg, k, value)
+            for alg, (residual, _stats) in curves.items()
+            for k, value in enumerate(residual)
+        )
+        return 0, harness.format_csv(("algorithm", "k", "residual_mean"), rows)
+    return 0, "".join(
+        f"{alg}: final residual {stats.final_residual_mean:.6g} "
+        f"+- {stats.final_residual_std:.6g}\n"
+        for alg, (_residual, stats) in curves.items()
+    )
 
 
 def _count(text: str) -> int:
@@ -271,6 +242,19 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _algorithms(text: str) -> list[str]:
+    """argparse type of compare --algorithms: comma-separated known dynamics."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one algorithm, got {text!r}")
+    for name in names:
+        if name not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {name!r}; expected one of {ALGORITHMS}"
+            )
+    return names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -341,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="residual curves for several dynamics")
     p.add_argument("--config", required=True)
-    p.add_argument("--algorithms", required=True,
+    p.add_argument("--algorithms", type=_algorithms, required=True,
                    help="comma-separated tags, e.g. alg1,dp-dgd")
     p.add_argument("--epsilon", type=float, help="override schedule.epsilon")
     p.add_argument("--trials", type=_count)
@@ -360,10 +344,15 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status, text = args.func(args)
+        harness._write(getattr(args, "out", None), text)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    return status
 
 
 def main() -> int:

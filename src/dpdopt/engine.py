@@ -20,10 +20,12 @@ alpha = gamma at every iteration; the rest follow the geometric schedule.
 
 `_KERNELS` maps each name to its step kernel; the two *-noiseless-constant
 dynamics reuse the alg1 and dp-dgd kernels. Every kernel maps
-(X, Y, Z, W, pr, a_k, beta) to (X, Y, G): Z is what went over the wire (X
-itself when noiseless) and G the stacked gradient the step used. The
-simulator, the sensitivity audit and the attacker view share the kernels,
-the trial streams, the schedule arrays and the chunk sizes defined here.
+(X, Y, G, Z, W, pr, a_k, beta) to (X, Y, G): Z is what went over the wire
+(X itself when noiseless) and G the stacked gradient the step used. The G
+passed in is the one the previous step returned; only gradient tracking
+reads it, as grad F(X). The simulator, the sensitivity audit and the
+attacker view share the kernels, the trial streams, the schedule arrays and
+the chunk sizes defined here.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _mat(W) -> np.ndarray:
     return np.asarray(getattr(W, "W", W), dtype=float)
 
 
-def _step_alg1(X, Y, Z, W, pr: Problem, a_k, beta):
+def _step_alg1(X, Y, G, Z, W, pr: Problem, a_k, beta):
     Zbar = W @ Z
     Ynew = Y + beta * (Z - Zbar)
     # 1^T y = 0 is an invariant of the exact update (columns of I - W sum
@@ -62,12 +64,12 @@ def _step_alg1(X, Y, Z, W, pr: Problem, a_k, beta):
     return Zbar - a_k * (Ynew + G), Ynew, G
 
 
-def _step_dpdgd(X, Y, Z, W, pr: Problem, a_k, beta):
+def _step_dpdgd(X, Y, G, Z, W, pr: Problem, a_k, beta):
     G = pr.gradients(Z)
     return W @ Z - a_k * G, Y, G
 
 
-def _step_true_consensus(X, Y, Z, W, pr: Problem, a_k, beta):
+def _step_true_consensus(X, Y, G, Z, W, pr: Problem, a_k, beta):
     """The self-weight multiplies the true state: only the off-diagonal
     (neighbor) part of the average sees noise."""
     d = np.diag(W)[:, None]
@@ -75,17 +77,18 @@ def _step_true_consensus(X, Y, Z, W, pr: Problem, a_k, beta):
     return d * X + (W @ Z - d * Z) - a_k * G, Y, G
 
 
-def _step_true_gradient(X, Y, Z, W, pr: Problem, a_k, beta):
+def _step_true_gradient(X, Y, G, Z, W, pr: Problem, a_k, beta):
     G = pr.gradients(X)
     return W @ Z - a_k * G, Y, G
 
 
-def step_gt(X, Y, Z, W, pr: Problem, a_k, beta):
+def step_gt(X, Y, G, Z, W, pr: Problem, a_k, beta):
     """Gradient tracking: x <- Wx - alpha y, then the tracker absorbs the
-    gradient increment. Requires Y(0) = grad F(X(0)); G is grad F(x(k+1))."""
+    gradient increment. G must be grad F(X), so the first step needs
+    G = Y(0) = grad F(X(0)); the returned G is grad F(x(k+1))."""
     Xnew = W @ X - a_k * Y
-    G = pr.gradients(Xnew)
-    return Xnew, W @ Y + G - pr.gradients(X), G
+    Gnew = pr.gradients(Xnew)
+    return Xnew, W @ Y + Gnew - G, Gnew
 
 
 _KERNELS = {
@@ -103,16 +106,17 @@ ALGORITHMS = tuple(_KERNELS)
 _CONSTANT_STEP = frozenset(name for name in ALGORITHMS if "noiseless" in name)
 
 
-def _obs_step(algorithm: str, X, Y, Z, W: np.ndarray, pr: Problem, a_k: float, beta: float):
-    """Advance one iteration given the shared observation matrix Z; returns
-    (X, Y, G).
+def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float,
+              beta: float):
+    """Advance one iteration given the previous step's G and the shared
+    observation matrix Z; returns (X, Y, G).
 
     This is the single source of truth for every dynamic. The sensitivity
     audit replays a recorded Z into two coupled systems; routing both the
     simulator and the audit through this function makes the untouched
     agents bitwise identical across the pair.
     """
-    return _KERNELS[algorithm](X, Y, Z, W, pr, a_k, beta)
+    return _KERNELS[algorithm](X, Y, G, Z, W, pr, a_k, beta)
 
 
 def _trial_streams(seeds, n: int, p: int, T: int | None, x0=None):
@@ -186,7 +190,8 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
     noisy = algorithm not in _CONSTANT_STEP and sp.delta > 0.0
     X, U = _trial_streams(seeds, pr.n, pr.p, T if noisy else None, x0)
     alphas, nus = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
-    Y = pr.gradients(X) if algorithm == "gt-noiseless" else np.zeros_like(X)
+    G = pr.gradients(X) if algorithm == "gt-noiseless" else None
+    Y = np.zeros_like(X) if G is None else G
 
     residual = np.empty((trials, T + 1))
     consensus = np.empty((trials, T + 1))
@@ -237,7 +242,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
             Z = Xprev + Xi
         else:
             Z = Xprev
-        X, Y, G = _obs_step(algorithm, Xprev, Y, Z, W, pr, a_k, sp.beta)
+        X, Y, G = _obs_step(algorithm, Xprev, Y, G, Z, W, pr, a_k, sp.beta)
 
         if alg1_kernel:
             worst("y_mean_abs_max", Y.mean(axis=1))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ __all__ = [
     "run_experiment",
     "canonical_json_bytes",
     "content_hash",
+    "format_json",
+    "format_csv",
 ]
 
 _TOPOLOGY_KINDS = ("ring", "erdos-renyi")
@@ -253,9 +256,32 @@ def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
 
 
-def format_trace_csv(traces: list[Trace]) -> str:
+def format_json(obj) -> str:
+    """The JSON of every machine-readable output: indented, sorted keys."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _cell(value) -> str:
     # repr of a Python float round-trips exactly; numpy scalars must be
     # unwrapped first or they stringify as np.float64(...)
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def format_csv(header, rows) -> str:
+    """CSV text with a header line. Floats render by repr, None as an empty
+    cell and anything else by str."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def format_trace_csv(traces: list[Trace]) -> str:
+    # the per-cell rule of format_csv, unrolled: this is the one CSV whose
+    # formatting time matters (trials * (T + 1) rows)
     lines = ["trial,k,residual,consensus_err,mean_err,step_norm"]
     for t, tr in enumerate(traces):
         for k in range(tr.iterations + 1):
@@ -289,7 +315,13 @@ def summarize(cfg: ExperimentConfig, traces: list[Trace], trace_csv: str) -> dic
     return body
 
 
-def _write(path: str, data: str) -> None:
+def _write(path: str | None, data: str) -> None:
+    """Write data to the file at path, or to stdout when path is None or
+    empty. The CLI writes every output it makes through here."""
+    if not path:
+        # looked up per call, so contextlib.redirect_stdout captures it
+        sys.stdout.write(data)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
@@ -328,5 +360,5 @@ def run_experiment(
     if trace_path:
         _write(trace_path, trace_csv)
     if summary_path:
-        _write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write(summary_path, format_json(summary))
     return summary

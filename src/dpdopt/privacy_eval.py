@@ -116,7 +116,7 @@ def collect_attacker_view(
             # same update the simulator runs; Zbar is recomputed here only
             # because the step keeps it internal
             Zbar = Wm @ Z
-            X, Y, G = _obs_step("alg1", X, Y, Z, Wm, pr, alphas[idx], sp.beta)
+            X, Y, G = _obs_step("alg1", X, Y, None, Z, Wm, pr, alphas[idx], sp.beta)
             z0 = Z[:, 0, 0]
             if idx < T:
                 out["V"][sl, idx] = G[:, 0, 0]

@@ -19,7 +19,6 @@ __all__ = [
     "stepsize",
     "noise_scale",
     "laplace_from_uniform",
-    "laplace_sample",
     "privacy_spent",
     "spend_from_sensitivities",
 ]
@@ -92,12 +91,6 @@ def laplace_from_uniform(u01, scale) -> np.ndarray:
     # u = -0.5 has probability 2^-53; clamp so log never sees exact zero
     inner = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
     return -np.asarray(scale) * np.sign(u) * np.log(inner)
-
-
-def laplace_sample(rng: np.random.Generator, scale, shape) -> np.ndarray:
-    """Laplace draws by inverse CDF from rng.random(shape); see
-    laplace_from_uniform for the pinned transform."""
-    return laplace_from_uniform(rng.random(shape), scale)
 
 
 def privacy_spent(sp: ScheduleParams, K: int | None) -> float:

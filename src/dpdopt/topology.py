@@ -25,10 +25,6 @@ __all__ = [
     "spectral_constants",
     "sigma_for_schedule",
     "mixing_matrix_at",
-    "write_edgelist",
-    "read_edgelist",
-    "write_weights_csv",
-    "read_weights_csv",
 ]
 
 _ROWSUM_TOL = 1e-12
@@ -217,42 +213,3 @@ def sigma_for_schedule(wm: WeightMatrix, q1: float) -> float:
     sig_e, _ = spectral_constants(endpoint)
     return max(sig_w, sig_e)
 
-
-def write_edgelist(g: Graph, path) -> None:
-    """One "i j" line per edge. Node count is implied by the largest id."""
-    with open(path, "w") as fh:
-        for i, j in g.edges:
-            fh.write(f"{i} {j}\n")
-
-
-def read_edgelist(path, n: int | None = None) -> Graph:
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise TopologyError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            i, j = int(parts[0]), int(parts[1])
-            edges.append(tuple(sorted((i, j))))
-    if not edges and n is None:
-        raise TopologyError(f"{path}: empty edge list and no node count given")
-    inferred = max(j for _, j in edges) + 1 if edges else 0
-    return Graph(n if n is not None else inferred, tuple(sorted(edges)))
-
-
-def write_weights_csv(wm: WeightMatrix, path) -> None:
-    """Dense CSV at full float precision (round-trips exactly)."""
-    np.savetxt(path, wm.W, delimiter=",", fmt="%.17e")
-
-
-def read_weights_csv(path) -> WeightMatrix:
-    W = np.loadtxt(path, delimiter=",")
-    if W.ndim == 0:
-        W = W.reshape(1, 1)
-    elif W.ndim == 1:
-        # a single CSV row is a 1xn matrix; only valid if n == 1
-        W = W.reshape(1, -1)
-    return WeightMatrix(W)

@@ -68,8 +68,9 @@ def test_audit_base_trajectory_is_engine_trajectory(audit_setup):
         Yp = np.zeros_like(Xb)
         for k in range(T):
             Z = tr.snapshots["Z"][k]
-            Xb, Yb, _ = _obs_step("alg1", Xb, Yb, Z, wm.W, pair.base, alphas[k], sp.beta)
-            Xp, Yp, _ = _obs_step("alg1", Xp, Yp, Z, wm.W, pair.perturbed, alphas[k], sp.beta)
+            Xb, Yb, _ = _obs_step("alg1", Xb, Yb, None, Z, wm.W, pair.base, alphas[k], sp.beta)
+            Xp, Yp, _ = _obs_step("alg1", Xp, Yp, None, Z, wm.W, pair.perturbed, alphas[k],
+                                  sp.beta)
             assert np.array_equal(Xb, tr.snapshots["X"][k + 1])
             dh[k] = max(dh[k], np.abs(Xb - Xp).sum())
     assert np.array_equal(dh, env.delta_hat)

@@ -282,6 +282,72 @@ def test_compare_unknown_algorithm(main_cfg, capsys):
     assert "unknown algorithm 'sgd'" in capsys.readouterr().err
 
 
+def test_compare_empty_algorithm_list(main_cfg, capsys):
+    rc = cli(["compare", "--config", main_cfg, "--algorithms", ","])
+    assert rc == 2
+    assert "expected at least one algorithm" in capsys.readouterr().err
+
+
+def test_spectral_csv(main_cfg, capsys):
+    assert cli(["spectral", "--config", main_cfg, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0] == "key,value"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "sigma", "w_minus_i_norm", "q1_bound", "q1", "rho_atilde", "contractive",
+    ]
+    assert lines[-1] == "contractive,False"
+    assert "np." not in out
+
+
+OUT_CALLS = {
+    "audit": ["audit", "--trials", "10", "--iterations", "6"],
+    "mnmi": ["mnmi"],
+    "compare": ["compare", "--algorithms", "alg1,dp-dgd"],
+}
+
+
+@pytest.mark.parametrize("fmt", [None, "json", "csv"])
+@pytest.mark.parametrize("command", sorted(OUT_CALLS))
+def test_out_file_equals_stdout(command, fmt, main_cfg, mnmi_cfg, tmp_path, capsys):
+    # --out applies to every format, text included, and writes the bytes
+    # the same call prints without it
+    cfg = mnmi_cfg if command == "mnmi" else main_cfg
+    argv = [*OUT_CALLS[command], "--config", cfg]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    rc = cli(argv)
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "out"
+    assert cli([*argv, "--out", str(out_path)]) == rc
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == printed.encode("utf-8")
+    assert printed
+    if fmt == "csv":
+        assert "np." not in printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--trials", "4", "--iterations", "3", "--out"],
+        ["audit", "--trials", "4", "--iterations", "3", "--format", "csv", "--out"],
+        ["mnmi", "--iterations", "2", "--dataset"],
+        ["run", "--trace"],
+        ["run", "--summary"],
+    ],
+    ids=["audit-out", "audit-csv-out", "mnmi-dataset", "run-trace", "run-summary"],
+)
+def test_unwritable_output_exits_three(argv, main_cfg, mnmi_cfg, tmp_path, capsys):
+    cfg = mnmi_cfg if argv[0] == "mnmi" else main_cfg
+    target = tmp_path / "no-such-dir" / "out"
+    assert cli([argv[0], "--config", cfg, *argv[1:], str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_invalid_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("topology.kind = ring\n", encoding="utf-8")

@@ -138,11 +138,12 @@ def test_kernel_matches_batched(setup, algorithm):
     alphas = np.full(T, sp.gamma) if noiseless else np.asarray(stepsize(sp, ks))
     nus = np.asarray(noise_scale(sp, ks))
     X = tr.snapshots["X"][0].copy()
-    Y = pr.gradients(X) if algorithm == "gt-noiseless" else np.zeros_like(X)
+    G = pr.gradients(X) if algorithm == "gt-noiseless" else None
+    Y = np.zeros_like(X) if G is None else G
     for k in range(T):
         Z = X if noiseless else X + laplace_from_uniform(U[k], nus[k])
         assert np.array_equal(Z, tr.snapshots["Z"][k])
-        X, Y, _ = _obs_step(algorithm, X, Y, Z, wm.W, pr, float(alphas[k]), sp.beta)
+        X, Y, G = _obs_step(algorithm, X, Y, G, Z, wm.W, pr, float(alphas[k]), sp.beta)
         assert np.array_equal(X, tr.snapshots["X"][k + 1])
         assert np.array_equal(Y, tr.snapshots["Y"][k + 1])
 

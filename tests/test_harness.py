@@ -13,6 +13,7 @@ from dpdopt.harness import (
     build_problem,
     canonical_json_bytes,
     content_hash,
+    format_csv,
     format_trace_csv,
     load_config,
     parse_config_text,
@@ -261,6 +262,21 @@ def test_trace_csv_shape_and_round_trip(small_run):
     assert (int(row[0]), int(row[1])) == (2, 5)
     assert float(row[2]) == traces[2].residual[5]
     assert float(row[5]) == traces[2].step_norm[5]
+
+
+def test_format_csv_cell_rule(small_run):
+    # floats by repr with numpy scalars unwrapped, None as an empty cell,
+    # anything else by str; the unrolled trace formatter follows the same rule
+    row = (1, None, np.float64(0.1), 2.5e-300, np.False_, "alg1")
+    assert format_csv("abcdef", [row]) == "a,b,c,d,e,f\n1,,0.1,2.5e-300,False,alg1\n"
+    _, traces = small_run
+    rows = (
+        (t, k, tr.residual[k], tr.consensus_err[k], tr.mean_err[k], tr.step_norm[k])
+        for t, tr in enumerate(traces)
+        for k in range(tr.iterations + 1)
+    )
+    header = ("trial", "k", "residual", "consensus_err", "mean_err", "step_norm")
+    assert format_csv(header, rows) == format_trace_csv(traces)
 
 
 def test_summary_fields(small_run):

@@ -11,7 +11,6 @@ from dpdopt import (
     ScheduleError,
     ScheduleParams,
     laplace_from_uniform,
-    laplace_sample,
     noise_scale,
     privacy_spent,
     spend_from_sensitivities,
@@ -71,15 +70,8 @@ def test_laplace_zero_scale_and_broadcast():
     assert np.array_equal(out, laplace_from_uniform(u, 1.0) * scales)
 
 
-def test_laplace_sample_stream_layout():
-    # sampling is exactly the pinned transform applied to rng.random draws
-    got = laplace_sample(substream(7, "x"), 1.5, (5, 2))
-    want = laplace_from_uniform(substream(7, "x").random((5, 2)), 1.5)
-    assert np.array_equal(got, want)
-
-
 def test_laplace_sample_moments():
-    draws = laplace_sample(substream(1, "m"), 3.0, 200_000)
+    draws = laplace_from_uniform(substream(1, "m").random(200_000), 3.0)
     assert abs(np.mean(draws)) < 0.05
     assert np.isclose(np.var(draws), 2 * 3.0**2, rtol=0.02)
 

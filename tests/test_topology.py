@@ -14,13 +14,9 @@ from dpdopt import (
     is_connected,
     metropolis_weights,
     mixing_matrix_at,
-    read_edgelist,
-    read_weights_csv,
     ring,
     sigma_for_schedule,
     spectral_constants,
-    write_edgelist,
-    write_weights_csv,
 )
 
 
@@ -171,49 +167,6 @@ def test_sigma_for_schedule_bounds(q1, ring4):
     sig = sigma_for_schedule(ring4, q1)
     assert sig >= sig_w - 1e-14
     assert sig < 1.0
-
-
-def test_edgelist_round_trip(tmp_path):
-    g = connected_erdos_renyi(8, 0.4, seed=3)
-    path = tmp_path / "g.edges"
-    write_edgelist(g, path)
-    back = read_edgelist(path)
-    assert back == g
-
-
-def test_edgelist_isolated_tail_node(tmp_path):
-    path = tmp_path / "g.edges"
-    path.write_text("# comment\n0 1\n\n1 2\n")
-    g = read_edgelist(path, n=5)
-    assert g.n == 5
-    assert g.edges == ((0, 1), (1, 2))
-    assert read_edgelist(path).n == 3
-
-
-def test_edgelist_errors(tmp_path):
-    bad = tmp_path / "bad.edges"
-    bad.write_text("0 1 2\n")
-    with pytest.raises(TopologyError):
-        read_edgelist(bad)
-    empty = tmp_path / "empty.edges"
-    empty.write_text("")
-    with pytest.raises(TopologyError):
-        read_edgelist(empty)
-    assert read_edgelist(empty, n=3).edges == ()
-
-
-def test_weights_csv_round_trip(tmp_path, er10):
-    _, wm = er10
-    path = tmp_path / "w.csv"
-    write_weights_csv(wm, path)
-    back = read_weights_csv(path)
-    assert np.array_equal(back.W, wm.W)
-
-
-def test_weights_csv_single_agent(tmp_path):
-    path = tmp_path / "w1.csv"
-    path.write_text("1.0\n")
-    assert read_weights_csv(path).W.shape == (1, 1)
 
 
 @pytest.mark.parametrize(
