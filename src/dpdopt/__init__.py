@@ -36,6 +36,7 @@ from .engine import (
 from .errors import (
     BudgetError,
     ConfigError,
+    DivergenceError,
     ProblemError,
     ScheduleError,
     TopologyError,
@@ -81,12 +82,8 @@ from .topology import (
     Graph,
     WeightMatrix,
     connected_erdos_renyi,
-    erdos_renyi,
-    is_connected,
     metropolis_weights,
-    mixing_matrix_at,
     ring,
-    sigma_for_schedule,
     spectral_constants,
 )
 
@@ -100,6 +97,7 @@ __all__ = [
     "BudgetError",
     "ComparisonReport",
     "ConfigError",
+    "DivergenceError",
     "ExperimentConfig",
     "GainSystem",
     "Graph",
@@ -126,16 +124,13 @@ __all__ = [
     "compare_sensitivities",
     "connected_erdos_renyi",
     "content_hash",
-    "erdos_renyi",
     "format_trace_csv",
-    "is_connected",
     "knn_mutual_information",
     "laplace_from_uniform",
     "load_config",
     "main",
     "make_adjacent",
     "metropolis_weights",
-    "mixing_matrix_at",
     "mnmi",
     "mnmi_report",
     "monte_carlo",
@@ -149,7 +144,6 @@ __all__ = [
     "ring",
     "run",
     "run_experiment",
-    "sigma_for_schedule",
     "spectral_constants",
     "spend_from_sensitivities",
     "stepsize",

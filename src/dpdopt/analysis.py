@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _mat, _obs_step, _schedule_arrays, _trial_streams, trial_seed
+from .engine import _mat, _obs_step, _schedule_arrays, _trajectory, trial_seed
 from .errors import ScheduleError
 from .objective import AdjacentPair
 from .rng import substream
-from .schedule import ScheduleParams, laplace_from_uniform
+from .schedule import ScheduleParams
+from .schedule import laplace_from_uniform  # noqa: F401  (perfbench/tracing.py patches it)
 
 __all__ = [
     "AUDIT_ALGORITHMS",
@@ -79,10 +80,10 @@ def audit_sensitivity(
 ) -> SensitivityEnvelope:
     """Empirical per-iteration sensitivity of one dynamic on one adjacent pair.
 
-    Each trial draws one initial state and one noise stream (the same
-    substream layout the simulator uses), runs the base problem to produce
-    the observation transcript, and replays the identical transcript into
-    the perturbed problem. The envelope is the per-k max over trials.
+    The base problem runs through the simulator's own trajectory generator,
+    so each trial's initial state, noise and observation transcript are the
+    simulator's; the identical transcript is replayed into the perturbed
+    problem. The envelope is the per-k max over trials.
     """
     if algorithm not in AUDIT_ALGORITHMS:
         raise ValueError(
@@ -93,23 +94,20 @@ def audit_sensitivity(
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
     Wm = _mat(W)
-    n, p = pair.base.n, pair.base.p
+    n = pair.base.n
     if Wm.shape != (n, n):
         raise ValueError(f"weight matrix shape {Wm.shape} does not match n={n}")
 
-    alphas, nus = _schedule_arrays(sp, T)
+    alphas, _ = _schedule_arrays(sp, T)
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    Xb, U = _trial_streams(seeds, n, p, T)
-    Xp = Xb
-    Yb = Yp = np.zeros_like(Xb)
     others = np.arange(n) != pair.i0
+    steps = _trajectory(pair.base, Wm, sp, algorithm, T, seeds)
+    Xp, Yp, *_ = next(steps)
 
     gaps = np.empty((trials, T))
     off_target = 0.0
-    for idx in range(T):
-        Z = Xb + laplace_from_uniform(U[:, idx], nus[idx])
+    for idx, (Xb, _, _, Z, _) in enumerate(steps):
         # no audited dynamic reads the previous gradient, so none is passed
-        Xb, Yb, _ = _obs_step(algorithm, Xb, Yb, None, Z, Wm, pair.base, alphas[idx], sp.beta)
         Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, None, Z, Wm, pair.perturbed, alphas[idx],
                               sp.beta)
         D = np.abs(Xb - Xp)
@@ -458,21 +456,13 @@ class TraceStats:
     trials: int
 
 
-def trace_metrics(traces, xstar: np.ndarray | None = None) -> TraceStats:
-    """Aggregate an ensemble of traces into mean error curves.
-
-    If xstar is given it must match the optimum the traces were recorded
-    against (they already carry per-iteration errors relative to it).
-    """
+def trace_metrics(traces) -> TraceStats:
+    """Aggregate an ensemble of traces into mean error curves."""
     if not traces:
         raise ValueError("need at least one trace")
     T = traces[0].iterations
     if any(tr.iterations != T for tr in traces):
         raise ValueError("traces have inconsistent lengths")
-    if xstar is not None:
-        for tr in traces:
-            if not np.allclose(tr.xstar, xstar, rtol=1e-9, atol=1e-12):
-                raise ValueError("xstar does not match the optimum used by the traces")
 
     s1 = np.mean([tr.mean_err for tr in traces], axis=0)
     s2 = np.mean([tr.consensus_err for tr in traces], axis=0)

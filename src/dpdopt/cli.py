@@ -9,8 +9,9 @@ without it a short human-readable text is printed. Each subcommand returns
 its exit status and its rendered output, which cli() writes once, to --out
 or stdout.
 
-Exit status: 0 success, 1 a failed audit check, 2 a usage or config error,
-3 an output that could not be written.
+Exit status: 0 success, 1 a failed audit check, 2 a usage error or any
+invalid input, 3 an output that could not be written, 4 a diverging run.
+Every error is reported on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import analysis, harness, privacy_eval
 from .engine import ALGORITHMS, monte_carlo
-from .errors import ConfigError
+from .errors import DivergenceError
 from .objective import make_adjacent
 from .topology import spectral_constants
 
@@ -344,9 +345,16 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        status, text = args.func(args)
+        # a diverging run overflows on its way to the DivergenceError, which
+        # is the report; numpy's overflow warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, text = args.func(args)
         harness._write(getattr(args, "out", None), text)
-    except ConfigError as exc:
+    except DivergenceError as exc:
+        print(exc, file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        # ConfigError and every other dpdopt.errors type but divergence
         print(exc, file=sys.stderr)
         return 2
     except OSError as exc:

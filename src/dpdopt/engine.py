@@ -24,8 +24,8 @@ dynamics reuse the alg1 and dp-dgd kernels. Every kernel maps
 (X itself when noiseless) and G the stacked gradient the step used. The G
 passed in is the one the previous step returned; only gradient tracking
 reads it, as grad F(X). The simulator, the sensitivity audit and the
-attacker view share the kernels, the trial streams, the schedule arrays and
-the chunk sizes defined here.
+attacker view all step through one generator, `_trajectory`, which owns the
+trial streams, the schedule, the noise draw and the kernel call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScheduleError
+from .errors import DivergenceError, ScheduleError
 from .objective import Problem, optimum
 from .rng import substream
 from .schedule import ScheduleParams, laplace_from_uniform, noise_scale, stepsize
@@ -111,29 +111,12 @@ def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float
     """Advance one iteration given the previous step's G and the shared
     observation matrix Z; returns (X, Y, G).
 
-    This is the single source of truth for every dynamic. The sensitivity
-    audit replays a recorded Z into two coupled systems; routing both the
-    simulator and the audit through this function makes the untouched
-    agents bitwise identical across the pair.
+    This is the single source of truth for every dynamic. `_trajectory`
+    steps every simulated trajectory through it, and the sensitivity audit
+    replays the recorded Z into the perturbed twin through it too, which
+    keeps the untouched agents bitwise identical across the pair.
     """
     return _KERNELS[algorithm](X, Y, G, Z, W, pr, a_k, beta)
-
-
-def _trial_streams(seeds, n: int, p: int, T: int | None, x0=None):
-    """Initial states (trials, n, p) and uniform blocks (trials, T, n, p).
-
-    Trial seed s owns substream(s, "init"), which draws its initial state
-    unless x0 (broadcast to every trial) is given, and substream(s,
-    "noise"), whose row k - 1 drives iteration k. With T None no noise
-    stream is drawn and the block is None.
-    """
-    if x0 is None:
-        X0 = np.stack([substream(s, "init").standard_normal((n, p)) for s in seeds])
-    else:
-        X0 = np.broadcast_to(np.asarray(x0, dtype=float), (len(seeds), n, p)).copy()
-    if T is None:
-        return X0, None
-    return X0, np.stack([substream(s, "noise").random((T, n, p)) for s in seeds])
 
 
 def _schedule_arrays(sp: ScheduleParams, T: int, constant: bool = False):
@@ -164,7 +147,6 @@ class Trace:
     step_norm: np.ndarray  # ||X(k) - X(k-1)||_F^2
     xstar: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    snapshots: dict = field(default_factory=dict)  # retain=True: X, Y lists and Z list
 
 
 def trial_seed(seed: int, t: int) -> int:
@@ -183,15 +165,65 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
         raise ScheduleError(f"{algorithm} is a noiseless dynamic; needs delta = 0")
 
 
-def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
-    """Simulate len(seeds) coupled-shape trials at once. Returns traces."""
+def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None):
+    """Step len(seeds) trials of one dynamic together, yielding
+    (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches.
+
+    Trial seed s owns substream(s, "init"), which draws its initial state
+    unless x0 (broadcast to every trial) is given, and substream(s,
+    "noise"), a preallocated (T, n, p) uniform block whose row k - 1 drives
+    iteration k through laplace_from_uniform. A noiseless run (a *-noiseless
+    dynamic, or delta = 0) draws no noise stream.
+
+    k = 0 yields the initial state, Y(0) and G(0) (zero and None, except for
+    gradient tracking, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
+    Each later yield is the state after step k, the G that step evaluated,
+    the observation Z = X(k-1) + Xi it consumed and the noise Xi (None, with
+    Z = X(k-1), when noiseless). Yielded arrays are never written again.
+    A trial whose final state is not finite raises DivergenceError.
+    """
     W = _mat(W)
-    trials = len(seeds)
+    n, p = pr.n, pr.p
     noisy = algorithm not in _CONSTANT_STEP and sp.delta > 0.0
-    X, U = _trial_streams(seeds, pr.n, pr.p, T if noisy else None, x0)
+    if x0 is None:
+        X = np.stack([substream(s, "init").standard_normal((n, p)) for s in seeds])
+    else:
+        X = np.broadcast_to(np.asarray(x0, dtype=float), (len(seeds), n, p)).copy()
+    if noisy:
+        U = np.stack([substream(s, "noise").random((T, n, p)) for s in seeds])
     alphas, nus = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
     G = pr.gradients(X) if algorithm == "gt-noiseless" else None
     Y = np.zeros_like(X) if G is None else G
+    Z = Xi = None
+    yield X, Y, G, Z, Xi
+
+    for idx in range(T):
+        if noisy:
+            Xi = laplace_from_uniform(U[:, idx], nus[idx])
+            Z = X + Xi
+        else:
+            Z = X
+        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, float(alphas[idx]), sp.beta)
+        yield X, Y, G, Z, Xi
+
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if not finite.all():
+        raise DivergenceError(
+            f"{algorithm} diverged: trial seed {seeds[int(np.argmin(finite))]} "
+            f"has a non-finite state after {T} iterations"
+        )
+
+
+def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
+    """Simulate len(seeds) trials at once. Returns one trace per trial, with
+    that trial's worst residual of each invariant as its diagnostics."""
+    W = _mat(W)
+    trials = len(seeds)
+    alphas, _ = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
+    # the first yield draws the trial streams; stacking them is the memory
+    # peak, so it runs before the metric arrays below exist
+    steps = _trajectory(pr, W, sp, algorithm, T, seeds, x0)
+    X, *_ = next(steps)
 
     residual = np.empty((trials, T + 1))
     consensus = np.empty((trials, T + 1))
@@ -210,84 +242,57 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
             sd = Xc - Xprev
             step_norm[:, col] = np.sum(sd * sd, axis=(1, 2))
 
-    metrics(0, X, None)
-
-    # invariant diagnostics: the worst residual of each identity over the run
+    # invariant diagnostics: the worst residual of each identity over the run,
+    # kept entrywise while stepping and reduced per trial once at the end
     alg1_kernel = _KERNELS[algorithm] is _step_alg1
-    diagnostics = {"y_mean_abs_max": 0.0}
+    keys = ["y_mean_abs_max"]
     if alg1_kernel:
-        diagnostics["mean_dynamics_resid_max"] = 0.0
+        keys.append("mean_dynamics_resid_max")
     if algorithm == "alg1-noiseless-constant":
-        diagnostics["unrolled_runsum_resid_max"] = 0.0
-        S = np.zeros_like(X)  # running sum of (W - I) X(l), l = 0..k-1
+        keys.append("unrolled_runsum_resid_max")
     if algorithm == "gt-noiseless":
         # Y(0) is grad F(X(0)) itself, so the residual starts at exactly 0
-        diagnostics["tracking_resid_max"] = 0.0
+        keys.append("tracking_resid_max")
+    worst_seen = {key: np.zeros((trials, 1)) for key in keys}
 
     def worst(key, resid):
-        diagnostics[key] = max(diagnostics[key], float(np.max(np.abs(resid))))
+        worst_seen[key] = np.maximum(worst_seen[key], np.abs(resid).reshape(trials, -1))
 
-    snaps_X, snaps_Y, snaps_Z = [], [], []
-    if retain:
-        snaps_X.append(X.copy())
-        snaps_Y.append(Y.copy())
-
-    for idx in range(T):
-        a_k = float(alphas[idx])
-        Xprev = X
-        if noisy:
-            # row idx of the preallocated uniform block drives this step,
-            # so base/perturbed twins consume identical noise by design
-            Xi = laplace_from_uniform(U[:, idx], nus[idx])
-            Z = Xprev + Xi
-        else:
-            Z = Xprev
-        X, Y, G = _obs_step(algorithm, Xprev, Y, G, Z, W, pr, a_k, sp.beta)
-
+    metrics(0, X, None)
+    S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
+    for k, (Xnew, Y, G, _, Xi) in enumerate(steps, start=1):
+        a_k = float(alphas[k - 1])
         if alg1_kernel:
             worst("y_mean_abs_max", Y.mean(axis=1))
             # mean dynamics: xbar(k) = xbar(k-1) - (a_k/n) 1^T grad F(z) + mean(xi)
-            xi_mean = Xi.mean(axis=1) if noisy else 0.0
-            rhs = Xprev.mean(axis=1) - a_k * G.mean(axis=1) + xi_mean
-            worst("mean_dynamics_resid_max", X.mean(axis=1) - rhs)
+            xi_mean = 0.0 if Xi is None else Xi.mean(axis=1)
+            rhs = X.mean(axis=1) - a_k * G.mean(axis=1) + xi_mean
+            worst("mean_dynamics_resid_max", Xnew.mean(axis=1) - rhs)
         if algorithm == "alg1-noiseless-constant":
             # y(k+1) = -beta * sum_{l<=k} (W - I) x(l), so the sum must
             # include the current state before predicting x(k+1)
-            S = S + (W @ Xprev - Xprev)
-            predicted = W @ Xprev - a_k * G + a_k * sp.beta * S
-            worst("unrolled_runsum_resid_max", X - predicted)
+            S = S + (W @ X - X)
+            predicted = W @ X - a_k * G + a_k * sp.beta * S
+            worst("unrolled_runsum_resid_max", Xnew - predicted)
         if algorithm == "gt-noiseless":
             worst("tracking_resid_max", Y.mean(axis=1) - G.mean(axis=1))
+        metrics(k, Xnew, X)
+        X = Xnew
 
-        metrics(idx + 1, X, Xprev)
-        if retain:
-            snaps_X.append(X.copy())
-            snaps_Y.append(Y.copy())
-            snaps_Z.append(Z.copy())
-
-    traces = []
-    for t in range(trials):
-        snaps = {}
-        if retain:
-            snaps = {
-                "X": [s[t] for s in snaps_X],
-                "Y": [s[t] for s in snaps_Y],
-                "Z": [s[t] for s in snaps_Z],
-            }
-        traces.append(
-            Trace(
-                algorithm=algorithm,
-                iterations=T,
-                residual=residual[t].copy(),
-                consensus_err=consensus[t].copy(),
-                mean_err=mean_err[t].copy(),
-                step_norm=step_norm[t].copy(),
-                xstar=xstar.copy(),
-                diagnostics=dict(diagnostics),
-                snapshots=snaps,
-            )
+    diagnostics = {key: seen.max(axis=1).tolist() for key, seen in worst_seen.items()}
+    return [
+        Trace(
+            algorithm=algorithm,
+            iterations=T,
+            residual=residual[t].copy(),
+            consensus_err=consensus[t].copy(),
+            mean_err=mean_err[t].copy(),
+            step_norm=step_norm[t].copy(),
+            xstar=xstar.copy(),
+            diagnostics={key: v[t] for key, v in diagnostics.items()},
         )
-    return traces
+        for t in range(trials)
+    ]
 
 
 def _batched_job(args):
@@ -304,13 +309,12 @@ def run(
     T: int,
     seed: int,
     x0: np.ndarray | None = None,
-    retain: bool = False,
 ) -> Trace:
     """Simulate one trial for T iterations and return its trace."""
     Wm = _mat(W)
     _validate(pr, Wm, sp, algorithm, T)
     xstar = optimum(pr)
-    return _batched(pr, Wm, sp, algorithm, T, [seed], x0, retain, xstar)[0]
+    return _batched(pr, Wm, sp, algorithm, T, [seed], x0, xstar)[0]
 
 
 def monte_carlo(
@@ -345,7 +349,7 @@ def monte_carlo(
     if jobs <= 1 or len(pieces) == 1:
         out: list[Trace] = []
         for piece in pieces:
-            out.extend(_batched(pr, Wm, sp, algorithm, T, piece, x0, False, xstar))
+            out.extend(_batched(pr, Wm, sp, algorithm, T, piece, x0, xstar))
         return out
 
     from concurrent.futures import ProcessPoolExecutor
@@ -353,7 +357,7 @@ def monte_carlo(
     out = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_batched_job, (pr, Wm, sp, algorithm, T, piece, x0, False, xstar))
+            pool.submit(_batched_job, (pr, Wm, sp, algorithm, T, piece, x0, xstar))
             for piece in pieces
         ]
         for fut in futures:

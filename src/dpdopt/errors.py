@@ -24,3 +24,8 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
+
+class DivergenceError(ArithmeticError):
+    """Raised when a simulated state leaves the finite floats. Not a
+    ValueError: the input was valid and the dynamic itself diverged."""

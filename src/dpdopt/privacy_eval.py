@@ -24,10 +24,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .engine import _chunk_size, _mat, _obs_step, _schedule_arrays, _trial_streams, trial_seed
+from .engine import _chunk_size, _mat, _schedule_arrays, _trajectory, trial_seed
+from .engine import _obs_step  # noqa: F401  (perfbench/tracing.py patches it)
 from .objective import Problem
 from .rng import substream
-from .schedule import ScheduleParams, laplace_from_uniform
+from .schedule import ScheduleParams
+from .schedule import laplace_from_uniform  # noqa: F401  (perfbench/tracing.py patches it)
 
 __all__ = [
     "AttackerDataset",
@@ -82,8 +84,8 @@ def collect_attacker_view(
 
     Runs the noisy tracking dynamic for T+1 iterations per trial (the
     reconstruction estimate at k needs the message sent at k+1) and returns
-    samples for k = 1..T. Deterministic given the seed; trials share the
-    substream layout of the simulator.
+    samples for k = 1..T. Deterministic given the seed; trial t steps
+    through the simulator's trajectory generator with seed trial_seed(seed, t).
     """
     if pr.n != 3 or pr.p != 1:
         raise ValueError(
@@ -97,7 +99,7 @@ def collect_attacker_view(
     if Wm.shape != (3, 3):
         raise ValueError(f"weight matrix shape {Wm.shape}, expected (3, 3)")
 
-    alphas, nus = _schedule_arrays(sp, T + 1)
+    alphas, _ = _schedule_arrays(sp, T + 1)
     out = {
         name: np.empty((trials, T))
         for name in ("V", "z0", "y0", "estimate_verbatim", "estimate_reconstruction")
@@ -106,17 +108,12 @@ def collect_attacker_view(
     chunk = _chunk_size(trials, T + 1, 3, 1)
     for start in range(0, trials, chunk):
         seeds = [trial_seed(seed, t) for t in range(start, min(start + chunk, trials))]
-        X, U = _trial_streams(seeds, 3, 1, T + 1)
-        Y = np.zeros_like(X)
         sl = slice(start, start + len(seeds))
-
+        steps = _trajectory(pr, Wm, sp, "alg1", T + 1, seeds)
+        next(steps)
         zbar_prev = None
-        for idx in range(T + 1):
-            Z = X + laplace_from_uniform(U[:, idx], nus[idx])
-            # same update the simulator runs; Zbar is recomputed here only
-            # because the step keeps it internal
-            Zbar = Wm @ Z
-            X, Y, G = _obs_step("alg1", X, Y, None, Z, Wm, pr, alphas[idx], sp.beta)
+        for idx, (_, Y, G, Z, _) in enumerate(steps):
+            Zbar = Wm @ Z  # the kernel keeps W Z internal; the estimates need it
             z0 = Z[:, 0, 0]
             if idx < T:
                 out["V"][sl, idx] = G[:, 0, 0]

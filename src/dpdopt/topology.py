@@ -18,13 +18,9 @@ __all__ = [
     "Graph",
     "WeightMatrix",
     "ring",
-    "erdos_renyi",
     "connected_erdos_renyi",
-    "is_connected",
     "metropolis_weights",
     "spectral_constants",
-    "sigma_for_schedule",
-    "mixing_matrix_at",
 ]
 
 _ROWSUM_TOL = 1e-12
@@ -59,17 +55,6 @@ class Graph:
             deg[i] += 1
             deg[j] += 1
         return deg
-
-    def neighbors(self, i: int) -> list[int]:
-        out = [j for a, j in self.edges if a == i]
-        out += [a for a, j in self.edges if j == i]
-        return sorted(out)
-
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            A[i, j] = A[j, i] = 1.0
-        return A
 
 
 @dataclass(frozen=True)
@@ -189,27 +174,3 @@ def spectral_constants(wm: WeightMatrix) -> tuple[float, float]:
     w_evals = np.linalg.eigvalsh(W)
     w_minus_i_norm = float(np.max(np.abs(w_evals - 1.0)))
     return sigma, w_minus_i_norm
-
-
-def mixing_matrix_at(wm: WeightMatrix, gamma: float, beta: float, q1: float, k: int) -> np.ndarray:
-    """Effective mixing matrix of the noisy tracking recursion at iteration k.
-
-    With the geometric stepsize alpha_k = gamma q1^(k-1), eliminating the
-    correction state leaves states averaged by
-        (q1 - gamma*beta*q1^k) I + (1 - q1 + gamma*beta*q1^k) W,
-    a convex combination of I and W whenever gamma*beta <= 1.
-    """
-    a = q1 - gamma * beta * q1**k
-    return a * np.eye(wm.n) + (1.0 - a) * wm.W
-
-
-def sigma_for_schedule(wm: WeightMatrix, q1: float) -> float:
-    """Conservative contraction factor across all iterations of a geometric
-    schedule: the effective mixing matrices are convex combinations of I and
-    W ranging between W itself and q1 I + (1 - q1) W, and the worst sigma is
-    attained at an endpoint."""
-    sig_w, _ = spectral_constants(wm)
-    endpoint = WeightMatrix(q1 * np.eye(wm.n) + (1.0 - q1) * wm.W)
-    sig_e, _ = spectral_constants(endpoint)
-    return max(sig_w, sig_e)
-

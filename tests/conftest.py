@@ -21,23 +21,18 @@ INVARIANT_TOL = 1e-12
 def invariant_gate():
     orig = engine._batched
 
-    def gated(pr, W, sp, algorithm, T, seeds, x0, retain, xstar):
-        traces = orig(pr, W, sp, algorithm, T, seeds, x0, retain, xstar)
+    def gated(*args):
+        traces = orig(*args)
         for tr in traces:
             for key, val in tr.diagnostics.items():
                 assert val <= INVARIANT_TOL, (
-                    f"{algorithm}: {key} = {val:.3e} exceeds {INVARIANT_TOL:g}"
+                    f"{tr.algorithm}: {key} = {val:.3e} exceeds {INVARIANT_TOL:g}"
                 )
         return traces
 
     engine._batched = gated
     yield
     engine._batched = orig
-
-
-@pytest.fixture(scope="session")
-def ring4():
-    return dpdopt.metropolis_weights(dpdopt.ring(4))
 
 
 @pytest.fixture(scope="session")

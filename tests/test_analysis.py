@@ -16,14 +16,13 @@ from dpdopt import (
     make_adjacent,
     q1_bound,
     rho_less_than,
-    run,
     stepsize,
     trace_metrics,
     trial_seed,
     tune,
     monte_carlo,
 )
-from dpdopt.engine import _obs_step
+from dpdopt.engine import _obs_step, _trajectory
 
 
 @pytest.fixture(scope="module")
@@ -54,24 +53,24 @@ def test_audit_envelope_equals_bound_for_dpdgd(audit_setup):
 
 def test_audit_base_trajectory_is_engine_trajectory(audit_setup):
     # the audit replays the exact simulator trajectory: rebuild delta_hat
-    # from retained engine snapshots and require bitwise agreement
+    # from the engine's own per-trial yields and require bitwise agreement
     pair, wm, sp = audit_setup
     T, trials, seed = 12, 5, 123
     env = audit_sensitivity(pair, "alg1", wm.W, sp, T, trials, seed)
     alphas = np.asarray(stepsize(sp, np.arange(1, T + 1)))
     dh = np.zeros(T)
     for t in range(trials):
-        tr = run(pair.base, wm.W, sp, "alg1", T, seed=trial_seed(seed, t), retain=True)
-        Xb = tr.snapshots["X"][0].copy()
+        steps = list(_trajectory(pair.base, wm.W, sp, "alg1", T, [trial_seed(seed, t)]))
+        Xb = steps[0][0][0].copy()
         Xp = Xb.copy()
         Yb = np.zeros_like(Xb)
         Yp = np.zeros_like(Xb)
         for k in range(T):
-            Z = tr.snapshots["Z"][k]
+            Z = steps[k + 1][3][0]
             Xb, Yb, _ = _obs_step("alg1", Xb, Yb, None, Z, wm.W, pair.base, alphas[k], sp.beta)
             Xp, Yp, _ = _obs_step("alg1", Xp, Yp, None, Z, wm.W, pair.perturbed, alphas[k],
                                   sp.beta)
-            assert np.array_equal(Xb, tr.snapshots["X"][k + 1])
+            assert np.array_equal(Xb, steps[k + 1][0][0])
             dh[k] = max(dh[k], np.abs(Xb - Xp).sum())
     assert np.array_equal(dh, env.delta_hat)
 
@@ -239,10 +238,6 @@ def test_trace_metrics(audit_setup):
     finals = np.array([t.residual[-1] for t in traces])
     assert st.final_residual_mean == finals.mean()
     assert st.final_residual_std == finals.std()
-    # consistent with the optimum the traces carry
-    trace_metrics(traces, xstar=traces[0].xstar)
-    with pytest.raises(ValueError):
-        trace_metrics(traces, xstar=traces[0].xstar + 1.0)
     with pytest.raises(ValueError):
         trace_metrics([])
     short = monte_carlo(pair.base, wm.W, sp, "alg1", 5, trials=1, seed=2)

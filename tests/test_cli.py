@@ -388,6 +388,62 @@ def test_counts_below_one_are_usage_errors(main_cfg, argv, capsys):
     assert "Traceback" not in err
 
 
+TUNE = ["tune", "--epsilon", "1", "--delta", "0.1", "--mu", "1", "--L", "2", "--n", "6",
+        "--p", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mnmi", "--trials", "40"],
+        ["mnmi", "--neighbors", "0"],
+        ["mnmi", "--trials", "60", "--neighbors", "60"],
+        [*TUNE, "--restarts", "0"],
+        [*TUNE, "--n", "0"],  # argparse keeps the last of a repeated option
+        [*TUNE, "--epsilon", "0"],
+        ["audit", "--i0", "99"],
+        ["spectral", "--theta", "-3"],
+    ],
+    ids=["mnmi-trials", "mnmi-neighbors", "mnmi-neighbors-trials", "tune-restarts",
+         "tune-n", "tune-epsilon", "audit-i0", "spectral-theta"],
+)
+def test_invalid_input_exits_two(argv, main_cfg, mnmi_cfg, capsys):
+    # values argparse accepts but the computation rejects end in one line
+    if argv[0] != "tune":
+        cfg = mnmi_cfg if argv[0] == "mnmi" else main_cfg
+        argv = [argv[0], "--config", cfg, *argv[1:]]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+DIVERGING_CFG = MAIN_CFG.replace("topology.n = 6", "topology.n = 10").replace(
+    "schedule.gamma = 0.05", "schedule.gamma = 0.9").replace(
+    "schedule.beta = 10", "schedule.beta = 1").replace(
+    "schedule.q1 = 0.97", "schedule.q1 = 0.999").replace(
+    "schedule.q2 = 0.99", "schedule.q2 = 0.9999").replace(
+    "run.iterations = 15", "run.iterations = 500")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["compare", "--algorithms", "alg1,dp-dgd", "--format", "json"],
+     ["audit", "--format", "json"]],
+    ids=["run", "compare", "audit"],
+)
+def test_divergence_exits_four(argv, tmp_path, capsys):
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(DIVERGING_CFG, encoding="utf-8")
+    assert cli([argv[0], "--config", str(cfg), *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("alg1 diverged: trial seed ")
+    assert "Traceback" not in captured.err
+
+
 def test_python_dash_m_entry_point():
     src = os.path.dirname(os.path.dirname(dpdopt.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -5,6 +5,7 @@ import pytest
 
 from dpdopt import (
     ALGORITHMS,
+    DivergenceError,
     ScheduleError,
     ScheduleParams,
     laplace_from_uniform,
@@ -15,7 +16,9 @@ from dpdopt import (
     substream,
     trial_seed,
 )
-from dpdopt.engine import _obs_step
+from dpdopt.engine import _obs_step, _trajectory
+
+NOISELESS = ScheduleParams(gamma=0.002, beta=500.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,18 @@ def setup(request):
     _, wm = er10
     sp = ScheduleParams(gamma=0.05, beta=10.0, q1=0.97, q2=0.99, epsilon=1.0, delta=1.0)
     return problem10, wm, sp
+
+
+def one_trial(pr, W, sp, algorithm, T, seed, x0=None):
+    """The engine's yields for one trial: lists of X(k), Y(k) for k = 0..T
+    and of the observation Z step k consumed, for k = 1..T."""
+    X, Y, Z = [], [], []
+    for Xk, Yk, _, Zk, _ in _trajectory(pr, W, sp, algorithm, T, [seed], x0):
+        X.append(Xk[0])
+        Y.append(Yk[0])
+        if Zk is not None:
+            Z.append(Zk[0])
+    return X, Y, Z
 
 
 def test_run_deterministic(setup):
@@ -57,8 +72,8 @@ def test_monte_carlo_jobs_and_chunks(setup):
 
 def test_trace_metric_definitions(setup):
     pr, wm, sp = setup
-    tr = run(pr, wm.W, sp, "alg1", 8, seed=1, retain=True)
-    X = tr.snapshots["X"]
+    tr = run(pr, wm.W, sp, "alg1", 8, seed=1)
+    X, _, _ = one_trial(pr, wm.W, sp, "alg1", 8, seed=1)
     assert len(X) == 9
     for k in range(9):
         diff = X[k] - tr.xstar
@@ -78,7 +93,7 @@ def test_trace_metric_definitions(setup):
 def test_noise_stream_layout(setup):
     pr, wm, sp = setup
     seed = 41
-    tr = run(pr, wm.W, sp, "alg1", 6, seed=seed, retain=True)
+    X, _, Z = one_trial(pr, wm.W, sp, "alg1", 6, seed)
     # the observation at iteration k+1 is X(k) plus Laplace noise drawn by
     # inverse CDF from column k of one preallocated uniform block; the noise
     # scales come from the vectorized schedule (numpy's vector pow can differ
@@ -87,17 +102,18 @@ def test_noise_stream_layout(setup):
     nus = np.asarray(noise_scale(sp, np.arange(1, 7)))
     for k in range(6):
         Xi = laplace_from_uniform(U[k], nus[k])
-        assert np.array_equal(tr.snapshots["Z"][k], tr.snapshots["X"][k] + Xi)
+        assert np.array_equal(Z[k], X[k] + Xi)
     X0 = substream(seed, "init").standard_normal((pr.n, pr.p))
-    assert np.array_equal(tr.snapshots["X"][0], X0)
+    assert np.array_equal(X[0], X0)
 
 
 def test_x0_broadcast(setup):
     pr, wm, sp = setup
     x_row = np.linspace(-1.0, 1.0, pr.p)
-    a = run(pr, wm.W, sp, "alg1", 5, seed=2, x0=x_row, retain=True)
-    b = run(pr, wm.W, sp, "alg1", 5, seed=2, x0=np.tile(x_row, (pr.n, 1)), retain=True)
-    assert np.array_equal(a.snapshots["X"][0], np.tile(x_row, (pr.n, 1)))
+    a = run(pr, wm.W, sp, "alg1", 5, seed=2, x0=x_row)
+    b = run(pr, wm.W, sp, "alg1", 5, seed=2, x0=np.tile(x_row, (pr.n, 1)))
+    X, _, _ = one_trial(pr, wm.W, sp, "alg1", 5, 2, x0=x_row)
+    assert np.array_equal(X[0], np.tile(x_row, (pr.n, 1)))
     assert np.array_equal(a.residual, b.residual)
 
 
@@ -124,36 +140,36 @@ def test_validation_errors(setup):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_kernel_matches_batched(setup, algorithm):
-    # step the kernel by hand from the retained initial state, building each
-    # observation from the documented streams, and require the simulator's
+    # step the kernel by hand from the generator's initial state, building
+    # each observation from the documented streams, and require the engine's
     # Z, X and Y bitwise at every step
     pr, wm, sp = setup
     noiseless = algorithm.endswith(("noiseless", "noiseless-constant"))
     if noiseless:
-        sp = ScheduleParams(gamma=0.002, beta=500.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
+        sp = NOISELESS
     seed, T = 13, 7
-    tr = run(pr, wm.W, sp, algorithm, T, seed=seed, retain=True)
+    Xs, Ys, Zs = one_trial(pr, wm.W, sp, algorithm, T, seed)
     U = substream(seed, "noise").random((T, pr.n, pr.p))
     ks = np.arange(1, T + 1)
     alphas = np.full(T, sp.gamma) if noiseless else np.asarray(stepsize(sp, ks))
     nus = np.asarray(noise_scale(sp, ks))
-    X = tr.snapshots["X"][0].copy()
+    X = Xs[0].copy()
     G = pr.gradients(X) if algorithm == "gt-noiseless" else None
     Y = np.zeros_like(X) if G is None else G
+    assert np.array_equal(Y, Ys[0])
     for k in range(T):
         Z = X if noiseless else X + laplace_from_uniform(U[k], nus[k])
-        assert np.array_equal(Z, tr.snapshots["Z"][k])
+        assert np.array_equal(Z, Zs[k])
         X, Y, G = _obs_step(algorithm, X, Y, G, Z, wm.W, pr, float(alphas[k]), sp.beta)
-        assert np.array_equal(X, tr.snapshots["X"][k + 1])
-        assert np.array_equal(Y, tr.snapshots["Y"][k + 1])
+        assert np.array_equal(X, Xs[k + 1])
+        assert np.array_equal(Y, Ys[k + 1])
 
 
 def test_noiseless_constant_observations_are_states(setup):
     pr, wm, _ = setup
-    sp0 = ScheduleParams(gamma=0.002, beta=500.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
-    tr = run(pr, wm.W, sp0, "alg1-noiseless-constant", 5, seed=3, retain=True)
+    X, _, Z = one_trial(pr, wm.W, NOISELESS, "alg1-noiseless-constant", 5, 3)
     for k in range(5):
-        assert np.array_equal(tr.snapshots["Z"][k], tr.snapshots["X"][k])
+        assert np.array_equal(Z[k], X[k])
 
 
 def test_diagnostics_keys(setup):
@@ -171,11 +187,34 @@ def test_diagnostics_keys(setup):
     assert set(run(pr, wm.W, sp, "dp-dgd", 3, seed=0).diagnostics) == {"y_mean_abs_max"}
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_diagnostics_are_per_trial(setup, algorithm):
+    # trial t reports its own worst invariant residual, so the chunking
+    # cannot change it
+    pr, wm, sp = setup
+    if algorithm.endswith(("noiseless", "noiseless-constant")):
+        sp = NOISELESS
+    T, trials, seed = 30, 6, 3
+    base = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
+    one = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed, chunk=1)
+    for t in range(trials):
+        single = run(pr, wm.W, sp, algorithm, T, seed=trial_seed(seed, t))
+        assert base[t].diagnostics == one[t].diagnostics == single.diagnostics
+
+
+def test_divergence_raises(setup):
+    pr, wm, _ = setup
+    sp = ScheduleParams(gamma=0.9, beta=1.0, q1=0.999, q2=0.9999, epsilon=1.0, delta=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=f"^alg1 diverged: trial seed {trial_seed(4, 0)} "):
+            monte_carlo(pr, wm.W, sp, "alg1", 500, trials=3, seed=4)
+    assert not issubclass(DivergenceError, ValueError)
+
+
 def test_all_algorithms_smoke(setup):
     pr, wm, sp = setup
-    sp0 = ScheduleParams(gamma=0.002, beta=500.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
     for alg in ALGORITHMS:
-        params = sp0 if alg.endswith(("noiseless", "noiseless-constant")) else sp
+        params = NOISELESS if alg.endswith(("noiseless", "noiseless-constant")) else sp
         tr = run(pr, wm.W, params, alg, 10, seed=1)
         assert np.all(np.isfinite(tr.residual))
         assert tr.algorithm == alg

@@ -17,10 +17,10 @@ from dpdopt import (
     mnmi_report,
     random_problem,
     ring,
-    run,
     stepsize,
     trial_seed,
 )
+from dpdopt.engine import _trajectory
 from dpdopt.privacy_eval import _marginal_counts
 from dpdopt.rng import substream
 
@@ -45,10 +45,10 @@ def test_attacker_view_matches_engine(triangle):
     ds = collect_attacker_view(pr, wm.W, sp, T, trials, seed)
     alphas = np.asarray(stepsize(sp, np.arange(1, T + 2)))
     for t in range(trials):
-        tr = run(pr, wm.W, sp, "alg1", T + 1, seed=trial_seed(seed, t), retain=True)
+        steps = list(_trajectory(pr, wm.W, sp, "alg1", T + 1, [trial_seed(seed, t)]))
         for k in range(T):
-            Z, Znext = tr.snapshots["Z"][k], tr.snapshots["Z"][k + 1]
-            y0 = tr.snapshots["Y"][k + 1][0, 0]
+            Z, Znext = steps[k + 1][3][0], steps[k + 2][3][0]
+            y0 = steps[k + 1][1][0, 0, 0]
             zbar0 = (wm.W @ Z)[0, 0]
             assert ds.V[t, k] == pr.gradients(Z)[0, 0]
             assert ds.z0[t, k] == Z[0, 0]

@@ -10,14 +10,11 @@ from dpdopt import (
     TopologyError,
     WeightMatrix,
     connected_erdos_renyi,
-    erdos_renyi,
-    is_connected,
     metropolis_weights,
-    mixing_matrix_at,
     ring,
-    sigma_for_schedule,
     spectral_constants,
 )
+from dpdopt.topology import erdos_renyi, is_connected
 
 
 def test_ring_structure():
@@ -25,7 +22,7 @@ def test_ring_structure():
     assert g.n == 5
     assert len(g.edges) == 5
     assert np.all(g.degrees == 2)
-    assert g.neighbors(0) == [1, 4]
+    assert g.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
     assert ring(3).edges == ((0, 1), (0, 2), (1, 2))
 
 
@@ -98,10 +95,10 @@ def test_metropolis_weights_properties(n, p_edge, seed):
     assert np.min(W) >= 0.0
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
     deg = g.degrees
-    A = g.adjacency()
+    edges = set(g.edges)
     for i in range(n):
         for j in range(i + 1, n):
-            if A[i, j]:
+            if (i, j) in edges:
                 assert W[i, j] == 1.0 / (1.0 + max(deg[i], deg[j]))
             else:
                 assert W[i, j] == 0.0
@@ -134,39 +131,6 @@ def test_spectral_constants_reject_disconnected():
     W[2:, 2:] = 0.5
     with pytest.raises(TopologyError):
         spectral_constants(WeightMatrix(W))
-
-
-def test_mixing_matrix_at(ring4):
-    # with gamma*beta = 1 the first-iteration mix collapses to W itself
-    M1 = mixing_matrix_at(ring4, gamma=0.1, beta=10.0, q1=0.9, k=1)
-    assert np.allclose(M1, ring4.W, atol=1e-15)
-    gamma, beta, q1, k = 0.05, 10.0, 0.9, 4
-    a = q1 - gamma * beta * q1**k
-    M = mixing_matrix_at(ring4, gamma, beta, q1, k)
-    assert np.allclose(M, a * np.eye(4) + (1 - a) * ring4.W, atol=1e-15)
-    # convex combination of I and W stays doubly stochastic
-    WeightMatrix(M)
-
-
-def test_sigma_for_schedule(ring4):
-    q1 = 0.5
-    sig = sigma_for_schedule(ring4, q1)
-    endpoint = q1 * np.eye(4) + (1 - q1) * ring4.W
-    cands = []
-    for W in (ring4.W, endpoint):
-        cands.append(np.max(np.abs(np.linalg.eigvalsh(W - np.ones((4, 4)) / 4))))
-    assert abs(sig - max(cands)) < 1e-14
-    # ring-4: endpoint eigenvalue (1+q1)... the I-heavy endpoint dominates
-    assert abs(sig - 2 / 3) < 1e-14
-
-
-@settings(max_examples=25, deadline=None)
-@given(q1=st.floats(0.01, 0.99))
-def test_sigma_for_schedule_bounds(q1, ring4):
-    sig_w, _ = spectral_constants(ring4)
-    sig = sigma_for_schedule(ring4, q1)
-    assert sig >= sig_w - 1e-14
-    assert sig < 1.0
 
 
 @pytest.mark.parametrize(
