@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _mat, _obs_step, _schedule_arrays, _trajectory, trial_seed
+from .engine import _mat, _obs_step, _schedule_arrays, _trajectory, _trial_seeds
+from .engine import trial_seed  # noqa: F401  (perfbench/tracing.py patches it)
 from .errors import ScheduleError
 from .objective import AdjacentPair
 from .rng import substream
@@ -99,7 +100,7 @@ def audit_sensitivity(
         raise ValueError(f"weight matrix shape {Wm.shape} does not match n={n}")
 
     alphas, _ = _schedule_arrays(sp, T)
-    seeds = [trial_seed(seed, t) for t in range(trials)]
+    seeds = _trial_seeds(seed, trials)
     others = np.arange(n) != pair.i0
     steps = _trajectory(pair.base, Wm, sp, algorithm, T, seeds)
     Xp, Yp, *_ = next(steps)
@@ -321,6 +322,8 @@ def q1_bound(sigma: float, theta: float = 2.0, w_minus_i_norm: float = 2.0) -> f
     """Largest stepsize decay rate q1 certified to keep the limiting gain
     block contractive: sqrt((1-sigma^2)^4 / (48(theta+1)(2+sigma^2)
     (3+sigma^2)||W-I||^2)), theta > 1."""
+    if not theta > 1.0:
+        raise ValueError(f"theta must be > 1, got {theta:g}")
     om = 1.0 - sigma**2
     denom = 48.0 * (theta + 1.0) * (2.0 + sigma**2) * (3.0 + sigma**2) * w_minus_i_norm**2
     return math.sqrt(om**4 / denom)

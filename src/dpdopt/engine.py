@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DivergenceError, ScheduleError
 from .objective import Problem, optimum
-from .rng import substream
+from .rng import draw_rows, substream
 from .schedule import ScheduleParams, laplace_from_uniform, noise_scale, stepsize
 
 __all__ = [
@@ -154,6 +154,12 @@ def trial_seed(seed: int, t: int) -> int:
     return int(substream(seed, "trial", t).integers(2**63))
 
 
+def _trial_seeds(seed: int, trials: int) -> list[int]:
+    """[trial_seed(seed, t) for t in range(trials)], drawn through draw_rows."""
+    entropies = [(seed, "trial", t) for t in range(trials)]
+    return draw_rows(entropies, lambda gen: int(gen.integers(2**63)))
+
+
 def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T: int):
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -183,14 +189,16 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None):
     A trial whose final state is not finite raises DivergenceError.
     """
     W = _mat(W)
-    n, p = pr.n, pr.p
+    trials, n, p = len(seeds), pr.n, pr.p
     noisy = algorithm not in _CONSTANT_STEP and sp.delta > 0.0
     if x0 is None:
-        X = np.stack([substream(s, "init").standard_normal((n, p)) for s in seeds])
+        X = draw_rows([(s, "init") for s in seeds], np.random.Generator.standard_normal,
+                      out=np.empty((trials, n, p)))
     else:
-        X = np.broadcast_to(np.asarray(x0, dtype=float), (len(seeds), n, p)).copy()
+        X = np.broadcast_to(np.asarray(x0, dtype=float), (trials, n, p)).copy()
     if noisy:
-        U = np.stack([substream(s, "noise").random((T, n, p)) for s in seeds])
+        U = draw_rows([(s, "noise") for s in seeds], np.random.Generator.random,
+                      out=np.empty((trials, T, n, p)))
     alphas, nus = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
     G = pr.gradients(X) if algorithm == "gt-noiseless" else None
     Y = np.zeros_like(X) if G is None else G
@@ -220,8 +228,8 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     W = _mat(W)
     trials = len(seeds)
     alphas, _ = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
-    # the first yield draws the trial streams; stacking them is the memory
-    # peak, so it runs before the metric arrays below exist
+    # the first yield draws the trial streams; their noise block is the
+    # memory peak, so it is allocated before the metric arrays below exist
     steps = _trajectory(pr, W, sp, algorithm, T, seeds, x0)
     X, *_ = next(steps)
 
@@ -231,6 +239,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     step_norm = np.zeros((trials, T + 1))
 
     def metrics(col, Xc, Xprev):
+        """Fill column col of the four metric arrays; returns the agent mean."""
         diff = Xc - xstar
         residual[:, col] = np.sum(diff * diff, axis=(1, 2))
         xbar = Xc.mean(axis=1, keepdims=True)
@@ -241,6 +250,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
         if Xprev is not None:
             sd = Xc - Xprev
             step_norm[:, col] = np.sum(sd * sd, axis=(1, 2))
+        return xbar[:, 0, :]
 
     # invariant diagnostics: the worst residual of each identity over the run,
     # kept entrywise while stepping and reduced per trial once at the end
@@ -258,16 +268,17 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     def worst(key, resid):
         worst_seen[key] = np.maximum(worst_seen[key], np.abs(resid).reshape(trials, -1))
 
-    metrics(0, X, None)
+    xbar = metrics(0, X, None)
     S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
     for k, (Xnew, Y, G, _, Xi) in enumerate(steps, start=1):
         a_k = float(alphas[k - 1])
+        xbar_new = metrics(k, Xnew, X)
         if alg1_kernel:
             worst("y_mean_abs_max", Y.mean(axis=1))
             # mean dynamics: xbar(k) = xbar(k-1) - (a_k/n) 1^T grad F(z) + mean(xi)
             xi_mean = 0.0 if Xi is None else Xi.mean(axis=1)
-            rhs = X.mean(axis=1) - a_k * G.mean(axis=1) + xi_mean
-            worst("mean_dynamics_resid_max", Xnew.mean(axis=1) - rhs)
+            rhs = xbar - a_k * G.mean(axis=1) + xi_mean
+            worst("mean_dynamics_resid_max", xbar_new - rhs)
         if algorithm == "alg1-noiseless-constant":
             # y(k+1) = -beta * sum_{l<=k} (W - I) x(l), so the sum must
             # include the current state before predicting x(k+1)
@@ -276,8 +287,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
             worst("unrolled_runsum_resid_max", Xnew - predicted)
         if algorithm == "gt-noiseless":
             worst("tracking_resid_max", Y.mean(axis=1) - G.mean(axis=1))
-        metrics(k, Xnew, X)
-        X = Xnew
+        X, xbar = Xnew, xbar_new
 
     diagnostics = {key: seen.max(axis=1).tolist() for key, seen in worst_seen.items()}
     return [
@@ -340,7 +350,7 @@ def monte_carlo(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     xstar = optimum(pr)
-    seeds = [trial_seed(seed, t) for t in range(trials)]
+    seeds = _trial_seeds(seed, trials)
 
     if chunk is None:
         chunk = _chunk_size(trials, T, pr.n, pr.p)

@@ -113,7 +113,19 @@ class Problem:
         X has shape (..., n, p): row i is the point agent i evaluates at.
         """
         X = np.asarray(X, dtype=float)
-        return np.einsum("nij,...nj->...ni", self.hess_stack, X) + self.lin_stack
+        H = self.hess_stack
+        if self.p > 2:
+            # einsum's summation order follows its SIMD lanes and so the
+            # machine; a column loop would round differently
+            return np.einsum("nij,...nj->...ni", H, X) + self.lin_stack
+        # the column sum skips einsum's per-call set-up; on the x86-64 build
+        # it was measured on, its one product or one add per entry equals
+        # einsum bit for bit (test_gradients_equal_einsum_bitwise guards it)
+        G = H[:, :, 0] * X[..., None, 0]
+        for j in range(1, self.p):
+            G += H[:, :, j] * X[..., None, j]
+        G += self.lin_stack
+        return G
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .engine import _chunk_size, _mat, _schedule_arrays, _trajectory, trial_seed
-from .engine import _obs_step  # noqa: F401  (perfbench/tracing.py patches it)
+from .engine import _chunk_size, _mat, _schedule_arrays, _trajectory, _trial_seeds
+from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
 from .objective import Problem
 from .rng import substream
 from .schedule import ScheduleParams
@@ -105,9 +105,10 @@ def collect_attacker_view(
         for name in ("V", "z0", "y0", "estimate_verbatim", "estimate_reconstruction")
     }
 
+    all_seeds = _trial_seeds(seed, trials)
     chunk = _chunk_size(trials, T + 1, 3, 1)
     for start in range(0, trials, chunk):
-        seeds = [trial_seed(seed, t) for t in range(start, min(start + chunk, trials))]
+        seeds = all_seeds[start : start + chunk]
         sl = slice(start, start + len(seeds))
         steps = _trajectory(pr, Wm, sp, "alg1", T + 1, seeds)
         next(steps)

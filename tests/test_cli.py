@@ -403,9 +403,12 @@ TUNE = ["tune", "--epsilon", "1", "--delta", "0.1", "--mu", "1", "--L", "2", "--
         [*TUNE, "--epsilon", "0"],
         ["audit", "--i0", "99"],
         ["spectral", "--theta", "-3"],
+        ["spectral", "--theta", "-1"],  # a zero denominator
+        ["spectral", "--theta", "0.5"],  # a finite bound outside theta > 1
     ],
     ids=["mnmi-trials", "mnmi-neighbors", "mnmi-neighbors-trials", "tune-restarts",
-         "tune-n", "tune-epsilon", "audit-i0", "spectral-theta"],
+         "tune-n", "tune-epsilon", "audit-i0", "spectral-theta", "spectral-theta-minus-one",
+         "spectral-theta-half"],
 )
 def test_invalid_input_exits_two(argv, main_cfg, mnmi_cfg, capsys):
     # values argparse accepts but the computation rejects end in one line

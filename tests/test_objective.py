@@ -68,6 +68,20 @@ def test_problem_batched_gradients(problem10):
             assert np.allclose(G[t, i], c.gradient(X[t, i]), atol=1e-13)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (7,), (1,)], ids=["n-p", "t-n-p", "1-n-p"])
+def test_gradients_equal_einsum_bitwise(p, lead):
+    pr = random_problem(9, 3, p, (0.1, 1.0), seed=p)
+    X = np.random.default_rng(p).standard_normal((*lead, pr.n, p))
+    before = [a.copy() for a in (X, pr.hess_stack, pr.lin_stack)]
+    G = pr.gradients(X)
+    want = np.einsum("nij,...nj->...ni", pr.hess_stack, X) + pr.lin_stack
+    assert G.shape == want.shape
+    assert G.tobytes() == want.tobytes()
+    for a, b in zip((X, pr.hess_stack, pr.lin_stack), before):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_problem_validation():
     with pytest.raises(ProblemError):
         Problem((), 2)
