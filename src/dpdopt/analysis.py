@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _mat, _obs_step, _schedule_arrays, _trajectory, _trial_seeds
+from .engine import _draw_streams, _mat, _obs_step, _schedule_arrays, _trajectory, _trial_seeds
 from .engine import trial_seed  # noqa: F401  (perfbench/tracing.py patches it)
 from .errors import ScheduleError
 from .objective import AdjacentPair
@@ -70,6 +70,19 @@ class SensitivityEnvelope:
         return bool(np.all(self.delta_hat <= self.bound + 1e-12))
 
 
+def _audit_setup(pair: AdjacentPair, W, T: int, trials: int, seed: int):
+    """Check the audit arguments; returns the weight matrix and trial seeds."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if T < 1:
+        raise ValueError(f"need at least one iteration, got {T}")
+    Wm = _mat(W)
+    n = pair.base.n
+    if Wm.shape != (n, n):
+        raise ValueError(f"weight matrix shape {Wm.shape} does not match n={n}")
+    return Wm, _trial_seeds(seed, trials)
+
+
 def audit_sensitivity(
     pair: AdjacentPair,
     algorithm: str,
@@ -90,22 +103,19 @@ def audit_sensitivity(
         raise ValueError(
             f"sensitivity audit supports {AUDIT_ALGORITHMS}, got {algorithm!r}"
         )
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if T < 1:
-        raise ValueError(f"need at least one iteration, got {T}")
-    Wm = _mat(W)
-    n = pair.base.n
-    if Wm.shape != (n, n):
-        raise ValueError(f"weight matrix shape {Wm.shape} does not match n={n}")
+    Wm, seeds = _audit_setup(pair, W, T, trials, seed)
+    return _replay(pair, algorithm, Wm, sp, T, seeds)
 
+
+def _replay(pair, algorithm, Wm, sp, T, seeds, streams=None) -> SensitivityEnvelope:
+    """audit_sensitivity on checked arguments; streams, if given, are the
+    trial streams of seeds, drawn once by _draw_streams."""
     alphas, _ = _schedule_arrays(sp, T)
-    seeds = _trial_seeds(seed, trials)
-    others = np.arange(n) != pair.i0
-    steps = _trajectory(pair.base, Wm, sp, algorithm, T, seeds)
+    others = np.arange(pair.base.n) != pair.i0
+    steps = _trajectory(pair.base, Wm, sp, algorithm, T, seeds, streams=streams)
     Xp, Yp, *_ = next(steps)
 
-    gaps = np.empty((trials, T))
+    gaps = np.empty((len(seeds), T))
     off_target = 0.0
     for idx, (Xb, _, _, Z, _) in enumerate(steps):
         # no audited dynamic reads the previous gradient, so none is passed
@@ -119,7 +129,7 @@ def audit_sensitivity(
         algorithm=algorithm,
         delta_hat=gaps.max(axis=0),
         bound=pair.delta * alphas,
-        trials=trials,
+        trials=len(seeds),
         off_target_max=off_target,
     )
 
@@ -167,13 +177,15 @@ def compare_sensitivities(
 ) -> ComparisonReport:
     """Audit all four dynamics on identical noise streams and compare.
 
-    Reuses one seed so every dynamic sees the same initial states and the
-    same uniform draws; differences in the envelopes are attributable to
-    the dynamics alone.
+    Each envelope equals audit_sensitivity(pair, alg, W, sp, T, trials,
+    seed): every dynamic sees the same initial states and the same uniform
+    draws, so differences in the envelopes are attributable to the dynamics
+    alone. Those streams are drawn once and shared by the four replays.
     """
+    Wm, seeds = _audit_setup(pair, W, T, trials, seed)
+    streams = _draw_streams(seeds, T, pair.base.n, pair.base.p, sp.delta > 0.0)
     envelopes = {
-        alg: audit_sensitivity(pair, alg, W, sp, T, trials, seed)
-        for alg in AUDIT_ALGORITHMS
+        alg: _replay(pair, alg, Wm, sp, T, seeds, streams) for alg in AUDIT_ALGORITHMS
     }
     ordering_gap = {}
     for lo, hi in _ORDERING_LEGS:
@@ -182,7 +194,7 @@ def compare_sensitivities(
 
     alphas, _ = _schedule_arrays(sp, T)
     base_term = pair.delta * alphas
-    w_ii = float(_mat(W)[pair.i0, pair.i0])
+    w_ii = float(Wm[pair.i0, pair.i0])
     L = pair.base.smoothness
     n = pair.base.n
 

@@ -26,11 +26,19 @@ passed in is the one the previous step returned; only gradient tracking
 reads it, as grad F(X). The simulator, the sensitivity audit and the
 attacker view all step through one generator, `_trajectory`, which owns the
 trial streams, the schedule, the noise draw and the kernel call.
+
+The simulator, `_batched`, reduces the generator's yields in blocks: it
+stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
+computes the four trace metrics and every invariant diagnostic of the block
+with one reduction each, bitwise equal to reducing step by step. The first
+block that holds a non-finite state ends the run with a DivergenceError that
+names the trial and the iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -59,7 +67,7 @@ def _step_alg1(X, Y, G, Z, W, pr: Problem, a_k, beta):
     # to zero), but the beta-scaled matmul rounding would otherwise leak
     # into the mean and compound over thousands of iterations; re-project
     # onto the invariant manifold each step.
-    Ynew = Ynew - Ynew.mean(axis=-2, keepdims=True)
+    Ynew = Ynew - _agent_mean(Ynew)[..., None, :]
     G = pr.gradients(Z)
     return Zbar - a_k * (Ynew + G), Ynew, G
 
@@ -171,34 +179,49 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
         raise ScheduleError(f"{algorithm} is a noiseless dynamic; needs delta = 0")
 
 
-def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None):
-    """Step len(seeds) trials of one dynamic together, yielding
-    (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches.
+def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool, x0=None):
+    """The trial streams `_trajectory` steps through: the (trials, n, p)
+    initial states and, when noisy, the (trials, T, n, p) uniform noise block
+    (None otherwise).
 
     Trial seed s owns substream(s, "init"), which draws its initial state
     unless x0 (broadcast to every trial) is given, and substream(s,
-    "noise"), a preallocated (T, n, p) uniform block whose row k - 1 drives
-    iteration k through laplace_from_uniform. A noiseless run (a *-noiseless
-    dynamic, or delta = 0) draws no noise stream.
+    "noise"), whose row k - 1 drives iteration k through
+    laplace_from_uniform.
+    """
+    trials = len(seeds)
+    if x0 is None:
+        X = draw_rows([(s, "init") for s in seeds], np.random.Generator.standard_normal,
+                      out=np.empty((trials, n, p)))
+    else:
+        X = np.broadcast_to(np.asarray(x0, dtype=float), (trials, n, p)).copy()
+    U = None
+    if noisy:
+        U = draw_rows([(s, "noise") for s in seeds], np.random.Generator.random,
+                      out=np.empty((trials, T, n, p)))
+    return X, U
+
+
+def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None, streams=None):
+    """Step len(seeds) trials of one dynamic together, yielding
+    (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches.
+
+    The trial streams are `_draw_streams`'s; a noiseless run (a *-noiseless
+    dynamic, or delta = 0) draws no noise stream. streams, if given, is the
+    (X0, U) pair `_draw_streams` returned for these seeds, drawn once and
+    shared by several dynamics; it is only read.
 
     k = 0 yields the initial state, Y(0) and G(0) (zero and None, except for
     gradient tracking, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
     Each later yield is the state after step k, the G that step evaluated,
     the observation Z = X(k-1) + Xi it consumed and the noise Xi (None, with
     Z = X(k-1), when noiseless). Yielded arrays are never written again.
-    A trial whose final state is not finite raises DivergenceError.
+    A trial whose final state is not finite raises DivergenceError once the
+    last step has been consumed.
     """
     W = _mat(W)
-    trials, n, p = len(seeds), pr.n, pr.p
     noisy = algorithm not in _CONSTANT_STEP and sp.delta > 0.0
-    if x0 is None:
-        X = draw_rows([(s, "init") for s in seeds], np.random.Generator.standard_normal,
-                      out=np.empty((trials, n, p)))
-    else:
-        X = np.broadcast_to(np.asarray(x0, dtype=float), (trials, n, p)).copy()
-    if noisy:
-        U = draw_rows([(s, "noise") for s in seeds], np.random.Generator.random,
-                      out=np.empty((trials, T, n, p)))
+    X, U = _draw_streams(seeds, T, pr.n, pr.p, noisy, x0) if streams is None else streams
     alphas, nus = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
     G = pr.gradients(X) if algorithm == "gt-noiseless" else None
     Y = np.zeros_like(X) if G is None else G
@@ -222,9 +245,33 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None):
         )
 
 
+# Byte budget of one stacked block of states: _batched reduces the metrics and
+# diagnostics of as many steps at once as fit their (trials, n, p) states in it.
+_BLOCK_BYTES = 8 << 10
+
+
+def _stack(arrays):
+    """np.stack(arrays); a view when there is only one."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _shift(first, block):
+    """The block one step back: first, then all rows of block but its last."""
+    return first[None] if len(block) == 1 else np.concatenate((first[None], block[:-1]))
+
+
+def _agent_mean(A):
+    """A.mean(axis=-2), bitwise: numpy's mean is this sum over its count."""
+    return np.add.reduce(A, axis=-2) / A.shape[-2]
+
+
 def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     """Simulate len(seeds) trials at once. Returns one trace per trial, with
-    that trial's worst residual of each invariant as its diagnostics."""
+    that trial's worst residual of each invariant as its diagnostics.
+
+    Steps are reduced in blocks of B, as many (trials, n, p) states as fit in
+    _BLOCK_BYTES and at least one; a block of one stacks views, not copies.
+    """
     W = _mat(W)
     trials = len(seeds)
     alphas, _ = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
@@ -232,28 +279,34 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     # memory peak, so it is allocated before the metric arrays below exist
     steps = _trajectory(pr, W, sp, algorithm, T, seeds, x0)
     X, *_ = next(steps)
+    B = max(1, _BLOCK_BYTES // X.nbytes)
 
-    residual = np.empty((trials, T + 1))
-    consensus = np.empty((trials, T + 1))
-    mean_err = np.empty((trials, T + 1))
-    step_norm = np.zeros((trials, T + 1))
+    # row k holds iteration k of every trial, so a block fills whole rows
+    residual = np.empty((T + 1, trials))
+    consensus = np.empty((T + 1, trials))
+    mean_err = np.empty((T + 1, trials))
+    step_norm = np.zeros((T + 1, trials))
 
-    def metrics(col, Xc, Xprev):
-        """Fill column col of the four metric arrays; returns the agent mean."""
-        diff = Xc - xstar
-        residual[:, col] = np.sum(diff * diff, axis=(1, 2))
-        xbar = Xc.mean(axis=1, keepdims=True)
-        dev = Xc - xbar
-        consensus[:, col] = np.sum(dev * dev, axis=(1, 2))
-        mdiff = xbar[:, 0, :] - xstar
-        mean_err[:, col] = np.sum(mdiff * mdiff, axis=1)
+    def metrics(rows, Xb, Xprev):
+        """Fill rows of the four metric arrays from the (b, trials, n, p)
+        states Xb; Xprev is the state before Xb[0] (None at k = 0). Returns
+        the agent means, (b, trials, p)."""
+        diff = Xb - xstar
+        residual[rows] = np.add.reduce(diff * diff, axis=(2, 3))
+        xbar = _agent_mean(Xb)
+        diff = Xb - xbar[:, :, None, :]
+        consensus[rows] = np.add.reduce(diff * diff, axis=(2, 3))
+        mdiff = xbar - xstar
+        mean_err[rows] = np.add.reduce(mdiff * mdiff, axis=2)
         if Xprev is not None:
-            sd = Xc - Xprev
-            step_norm[:, col] = np.sum(sd * sd, axis=(1, 2))
-        return xbar[:, 0, :]
+            diff = np.empty_like(Xb)
+            np.subtract(Xb[0], Xprev, out=diff[0])
+            np.subtract(Xb[1:], Xb[:-1], out=diff[1:])
+            step_norm[rows] = np.add.reduce(diff * diff, axis=(2, 3))
+        return xbar
 
     # invariant diagnostics: the worst residual of each identity over the run,
-    # kept entrywise while stepping and reduced per trial once at the end
+    # per trial
     alg1_kernel = _KERNELS[algorithm] is _step_alg1
     keys = ["y_mean_abs_max"]
     if alg1_kernel:
@@ -263,41 +316,76 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     if algorithm == "gt-noiseless":
         # Y(0) is grad F(X(0)) itself, so the residual starts at exactly 0
         keys.append("tracking_resid_max")
-    worst_seen = {key: np.zeros((trials, 1)) for key in keys}
+    worst_seen = {key: np.zeros(trials) for key in keys}
 
     def worst(key, resid):
-        worst_seen[key] = np.maximum(worst_seen[key], np.abs(resid).reshape(trials, -1))
+        # resid is (b, trials, ...): fold in each trial's largest |entry|
+        axes = (0, *range(2, resid.ndim))
+        worst_seen[key] = np.maximum(worst_seen[key], np.abs(resid).max(axis=axes))
 
-    xbar = metrics(0, X, None)
-    S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
-    for k, (Xnew, Y, G, _, Xi) in enumerate(steps, start=1):
-        a_k = float(alphas[k - 1])
-        xbar_new = metrics(k, Xnew, X)
+    def diagnose(a, Xb, Ys, Gs, Xis, Xprev, xbar_prev, xbar, S):
+        """Fold one block's invariant residuals into worst_seen; a holds the
+        block's stepsizes. Returns the running sum S after the block."""
+        a = a[:, None, None]
+        if alg1_kernel or algorithm == "gt-noiseless":
+            Gb = _stack(Gs)
+            Ymean, Gmean = _agent_mean(_stack(Ys)), _agent_mean(Gb)
         if alg1_kernel:
-            worst("y_mean_abs_max", Y.mean(axis=1))
+            worst("y_mean_abs_max", Ymean)
             # mean dynamics: xbar(k) = xbar(k-1) - (a_k/n) 1^T grad F(z) + mean(xi)
-            xi_mean = 0.0 if Xi is None else Xi.mean(axis=1)
-            rhs = xbar - a_k * G.mean(axis=1) + xi_mean
-            worst("mean_dynamics_resid_max", xbar_new - rhs)
+            xi_mean = 0.0 if Xis[0] is None else _agent_mean(_stack(Xis))
+            worst("mean_dynamics_resid_max", xbar - (xbar_prev - a * Gmean + xi_mean))
         if algorithm == "alg1-noiseless-constant":
             # y(k+1) = -beta * sum_{l<=k} (W - I) x(l), so the sum must
-            # include the current state before predicting x(k+1)
-            S = S + (W @ X - X)
-            predicted = W @ X - a_k * G + a_k * sp.beta * S
-            worst("unrolled_runsum_resid_max", Xnew - predicted)
+            # include the current state before predicting x(k+1); cumsum adds
+            # the increments in step order, as a running sum would
+            Xp = _shift(Xprev, Xb)
+            WX = W @ Xp
+            D = WX - Xp
+            D[0] = S + D[0]
+            Ssteps = np.cumsum(D, axis=0)
+            a = a[..., None]
+            predicted = WX - a * Gb + a * sp.beta * Ssteps
+            worst("unrolled_runsum_resid_max", Xb - predicted)
+            S = Ssteps[-1]
         if algorithm == "gt-noiseless":
-            worst("tracking_resid_max", Y.mean(axis=1) - G.mean(axis=1))
-        X, xbar = Xnew, xbar_new
+            worst("tracking_resid_max", Ymean - Gmean)
+        return S
 
-    diagnostics = {key: seen.max(axis=1).tolist() for key, seen in worst_seen.items()}
+    xbar = metrics(slice(0, 1), X[None], None)[0]
+    S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
+    for k0 in range(1, T + 1, B):
+        b = min(B, T + 1 - k0)
+        # islice takes exactly the block, so the generator is never run past
+        # its last yield and its own end-of-run check stays out of the way
+        Xs, Ys, Gs, _, Xis = zip(*islice(steps, b))
+        Xb = _stack(Xs)
+        rows = slice(k0, k0 + b)
+        xbar_b = metrics(rows, Xb, X)
+        if not np.isfinite(residual[rows]).all():
+            # a non-finite state makes its residual non-finite; the converse
+            # need not hold, so the states decide
+            bad = ~np.isfinite(Xb).all(axis=(2, 3))
+            if bad.any():
+                i, t = divmod(int(np.argmax(bad)), trials)
+                raise DivergenceError(
+                    f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
+                    f"state at iteration {k0 + i} of {T}"
+                )
+        S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
+                     _shift(xbar, xbar_b), xbar_b, S)
+        X, xbar = Xs[-1], xbar_b[-1]
+    steps.close()  # frees the noise block before the traces are built
+
+    diagnostics = {key: seen.tolist() for key, seen in worst_seen.items()}
     return [
         Trace(
             algorithm=algorithm,
             iterations=T,
-            residual=residual[t].copy(),
-            consensus_err=consensus[t].copy(),
-            mean_err=mean_err[t].copy(),
-            step_norm=step_norm[t].copy(),
+            residual=residual[:, t].copy(),
+            consensus_err=consensus[:, t].copy(),
+            mean_err=mean_err[:, t].copy(),
+            step_norm=step_norm[:, t].copy(),
             xstar=xstar.copy(),
             diagnostics={key: v[t] for key, v in diagnostics.items()},
         )

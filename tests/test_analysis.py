@@ -22,7 +22,9 @@ from dpdopt import (
     tune,
     monte_carlo,
 )
+from dpdopt import engine
 from dpdopt.engine import _obs_step, _trajectory
+from dpdopt.rng import draw_rows
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,30 @@ def test_audit_validation(audit_setup):
         audit_sensitivity(pair, "alg1", wm.W, sp, 0, 2, 0)
     with pytest.raises(ValueError):
         audit_sensitivity(pair, "alg1", np.eye(3), sp, 5, 2, 0)
+
+
+def test_compare_shares_streams_bitwise(audit_setup, monkeypatch):
+    # the four replays share one draw of the trial seeds, initial states and
+    # noise block, and each envelope equals an audit of its own
+    pair, wm, sp = audit_setup
+    T, trials, seed = 15, 20, 4
+    alone = {alg: audit_sensitivity(pair, alg, wm.W, sp, T, trials, seed)
+             for alg in AUDIT_ALGORITHMS}
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return draw_rows(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "draw_rows", counted)
+    rep = compare_sensitivities(pair, wm.W, sp, T, trials, seed)
+    assert len(draws) == 3
+    for alg, env in alone.items():
+        shared = rep.envelopes[alg]
+        assert np.array_equal(shared.delta_hat, env.delta_hat)
+        assert np.array_equal(shared.bound, env.bound)
+        assert shared.off_target_max == env.off_target_max
+        assert shared.trials == env.trials
 
 
 def test_compare_report_structure(audit_setup):

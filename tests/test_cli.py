@@ -444,6 +444,10 @@ def test_divergence_exits_four(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("alg1 diverged: trial seed ")
+    # the simulator names the first non-finite iteration; the audit checks
+    # the final states only
+    if argv[0] != "audit":
+        assert " has a non-finite state at iteration " in captured.err
     assert "Traceback" not in captured.err
 
 

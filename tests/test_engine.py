@@ -8,9 +8,11 @@ from dpdopt import (
     DivergenceError,
     ScheduleError,
     ScheduleParams,
+    engine,
     laplace_from_uniform,
     monte_carlo,
     noise_scale,
+    optimum,
     run,
     stepsize,
     substream,
@@ -202,12 +204,94 @@ def test_diagnostics_are_per_trial(setup, algorithm):
         assert base[t].diagnostics == one[t].diagnostics == single.diagnostics
 
 
-def test_divergence_raises(setup):
+def stepwise(pr, W, sp, algorithm, T, seeds):
+    """The four metric series (rows are trials) and the per-trial diagnostics,
+    reduced one step at a time from the generator's yields."""
+    xstar = optimum(pr)
+    alphas = np.full(T, sp.gamma) if "noiseless" in algorithm else stepsize(sp, np.arange(1, T + 1))
+    cols, worst = [], {}
+    alg1_kernel = algorithm in ("alg1", "alg1-noiseless-constant")
+
+    def fold(key, resid):
+        seen = np.abs(resid).reshape(len(seeds), -1).max(axis=1)
+        worst[key] = np.maximum(worst.get(key, 0.0), seen)
+
+    X = xbar = S = None
+    for k, (Xk, Yk, Gk, _, Xi) in enumerate(_trajectory(pr, W, sp, algorithm, T, seeds)):
+        xbar_k = Xk.mean(axis=1)
+        col = [np.sum((Xk - xstar) ** 2, axis=(1, 2)),
+               np.sum((Xk - xbar_k[:, None, :]) ** 2, axis=(1, 2)),
+               np.sum((xbar_k - xstar) ** 2, axis=1),
+               np.zeros(len(seeds)) if k == 0 else np.sum((Xk - X) ** 2, axis=(1, 2))]
+        cols.append(col)
+        if k and alg1_kernel:
+            fold("y_mean_abs_max", Yk.mean(axis=1))
+            a = float(alphas[k - 1])
+            rhs = xbar - a * Gk.mean(axis=1) + (0.0 if Xi is None else Xi.mean(axis=1))
+            fold("mean_dynamics_resid_max", xbar_k - rhs)
+        if k and algorithm == "alg1-noiseless-constant":
+            a = float(alphas[k - 1])
+            S = (0.0 if S is None else S) + (W @ X - X)
+            fold("unrolled_runsum_resid_max", Xk - (W @ X - a * Gk + a * sp.beta * S))
+        if k and algorithm == "gt-noiseless":
+            fold("tracking_resid_max", Yk.mean(axis=1) - Gk.mean(axis=1))
+        X, xbar = Xk, xbar_k
+    series = [np.array([col[m] for col in cols]).T for m in range(4)]
+    return series, worst
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("T", [0, 10])
+def test_block_reduction_is_stepwise(setup, algorithm, T, monkeypatch):
+    # one step per block, three per block (10 steps end in a partial block of
+    # one) and the whole run in one block all equal a step-by-step reduction
+    pr, wm, sp = setup
+    if "noiseless" in algorithm:
+        sp = NOISELESS
+    trials, seed = 3, 8
+    seeds = [trial_seed(seed, t) for t in range(trials)]
+    series, worst = stepwise(pr, wm.W, sp, algorithm, T, seeds)
+    state_bytes = trials * pr.n * pr.p * 8
+    for block_bytes in (1, 3 * state_bytes, (T + 1) * state_bytes):
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", block_bytes)
+        traces = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
+        for t, tr in enumerate(traces):
+            got = (tr.residual, tr.consensus_err, tr.mean_err, tr.step_norm)
+            for want, have in zip(series, got):
+                assert np.array_equal(want[t], have)
+            expected = {key: 0.0 for key in tr.diagnostics}
+            expected.update({key: float(seen[t]) for key, seen in worst.items()})
+            assert tr.diagnostics == expected
+
+
+def test_divergence_raises(setup, monkeypatch):
     pr, wm, _ = setup
     sp = ScheduleParams(gamma=0.9, beta=1.0, q1=0.999, q2=0.9999, epsilon=1.0, delta=0.01)
+    seeds = [trial_seed(4, t) for t in range(3)]
+
+    def first_nonfinite(seed):
+        for k, (X, *_) in enumerate(_trajectory(pr, wm.W, sp, "alg1", 500, [seed])):
+            if not np.isfinite(X).all():
+                return k
+        return 501
+
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match=f"^alg1 diverged: trial seed {trial_seed(4, 0)} "):
+        # the first iteration at which any trial's state is not finite, and
+        # the first such trial
+        first = min((first_nonfinite(s), t) for t, s in enumerate(seeds))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _obs_step(*args)
+
+        monkeypatch.setattr(engine, "_obs_step", counted)
+        message = (f"^alg1 diverged: trial seed {seeds[first[1]]} has a non-finite state "
+                   f"at iteration {first[0]} of 500$")
+        with pytest.raises(DivergenceError, match=message):
             monte_carlo(pr, wm.W, sp, "alg1", 500, trials=3, seed=4)
+    # the run stops at the block that holds the first non-finite state
+    assert len(calls) < 500
     assert not issubclass(DivergenceError, ValueError)
 
 
