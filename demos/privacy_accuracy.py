@@ -16,7 +16,6 @@ for a long time.
 
 import argparse
 
-from dpdopt.analysis import trace_metrics
 from dpdopt.engine import monte_carlo
 from dpdopt.objective import random_problem
 from dpdopt.schedule import ScheduleParams, privacy_spent
@@ -68,12 +67,12 @@ def main() -> None:
                             eps, args.delta)
         spent = privacy_spent(sp, args.iterations)
         for alg in ("alg1", "dp-dgd"):
-            traces = monte_carlo(pr, wm, sp, alg, args.iterations, trials,
-                                 seed=17, jobs=args.jobs)
-            st = trace_metrics(traces)
-            results[(eps, alg)] = st.final_residual_mean
+            trace = monte_carlo(pr, wm, sp, alg, args.iterations, trials,
+                                seed=17, jobs=args.jobs)
+            finals = trace.residual[:, -1]
+            results[(eps, alg)] = finals.mean()
             print(f"{eps:>8g} {spent:>10.6g} {alg:>10} "
-                  f"{st.final_residual_mean:>18.6e} +- {st.final_residual_std:.3e}")
+                  f"{finals.mean():>18.6e} +- {finals.std():.3e}")
 
     print()
     for eps in params:

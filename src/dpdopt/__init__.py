@@ -14,7 +14,6 @@ from .analysis import (
     ComparisonReport,
     GainSystem,
     SensitivityEnvelope,
-    TraceStats,
     accuracy_bound,
     atilde,
     audit_sensitivity,
@@ -22,7 +21,6 @@ from .analysis import (
     compare_sensitivities,
     q1_bound,
     rho_less_than,
-    trace_metrics,
     tune,
 )
 from .cli import cli, main
@@ -66,7 +64,6 @@ from .privacy_eval import (
     MnmiReport,
     collect_attacker_view,
     knn_mutual_information,
-    mnmi,
     mnmi_report,
 )
 from .rng import substream
@@ -109,7 +106,6 @@ __all__ = [
     "ScheduleParams",
     "SensitivityEnvelope",
     "Trace",
-    "TraceStats",
     "TopologyError",
     "WeightMatrix",
     "accuracy_bound",
@@ -131,7 +127,6 @@ __all__ = [
     "main",
     "make_adjacent",
     "metropolis_weights",
-    "mnmi",
     "mnmi_report",
     "monte_carlo",
     "noise_scale",
@@ -149,7 +144,6 @@ __all__ = [
     "stepsize",
     "substream",
     "summarize",
-    "trace_metrics",
     "trial_seed",
     "tune",
 ]

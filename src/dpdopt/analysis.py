@@ -37,8 +37,6 @@ __all__ = [
     "q1_bound",
     "accuracy_bound",
     "tune",
-    "TraceStats",
-    "trace_metrics",
 ]
 
 AUDIT_ALGORITHMS = ("alg1", "dp-dgd", "dgd-true-consensus", "dgd-true-gradient")
@@ -456,38 +454,3 @@ def tune(
         if best is None or val < best[3]:
             best = (g, a, b, val)
     return best
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    """Monte Carlo means of the three per-iteration error series, plus the
-    final-residual summary statistics over trials (population std)."""
-
-    s1: np.ndarray  # mean over trials of ||xbar - x*||^2, per k
-    s2: np.ndarray  # mean consensus error, per k
-    s3: np.ndarray  # mean squared step norm, per k (0 at k=0)
-    final_residual_mean: float
-    final_residual_std: float
-    trials: int
-
-
-def trace_metrics(traces) -> TraceStats:
-    """Aggregate an ensemble of traces into mean error curves."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    T = traces[0].iterations
-    if any(tr.iterations != T for tr in traces):
-        raise ValueError("traces have inconsistent lengths")
-
-    s1 = np.mean([tr.mean_err for tr in traces], axis=0)
-    s2 = np.mean([tr.consensus_err for tr in traces], axis=0)
-    s3 = np.mean([tr.step_norm for tr in traces], axis=0)
-    finals = np.array([tr.residual[-1] for tr in traces])
-    return TraceStats(
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        final_residual_mean=float(finals.mean()),
-        final_residual_std=float(finals.std()),
-        trials=len(traces),
-    )

@@ -66,8 +66,8 @@ def _cmd_audit(args) -> tuple[int, str]:
 
     env = report.envelopes[args.algorithm]
     if args.format == "csv":
-        rows = zip(range(1, T + 1), env.delta_hat, env.bound, env.margin)
-        return 0, harness.format_csv(("k", "delta_hat", "bound", "margin"), rows)
+        columns = (range(1, T + 1), env.delta_hat, env.bound, env.margin)
+        return 0, harness.format_csv(("k", "delta_hat", "bound", "margin"), columns)
 
     checks = {
         "bound alg1": report.envelopes["alg1"].within_bound,
@@ -118,7 +118,7 @@ def _cmd_spectral(args) -> tuple[int, str]:
     if args.format == "json":
         return 0, harness.format_json(rows)
     if args.format == "csv":
-        return 0, harness.format_csv(("key", "value"), rows.items())
+        return 0, harness.format_csv(("key", "value"), (rows.keys(), rows.values()))
     return 0, (
         f"sigma = {sigma:.12g}\n"
         f"||W - I|| = {w_minus_i:.12g}\n"
@@ -145,7 +145,7 @@ def _cmd_tune(args) -> tuple[int, str]:
     if args.format == "json":
         return 0, harness.format_json(rows)
     if args.format == "csv":
-        return 0, harness.format_csv(rows.keys(), [rows.values()])
+        return 0, harness.format_csv(rows.keys(), [[value] for value in rows.values()])
     return 0, (
         f"gamma = {gamma:.6g}, q1 = {q1:.6g}, q2 = {q2:.6g}\n"
         f"accuracy bound = {bound:.6g}\n"
@@ -164,12 +164,14 @@ def _cmd_mnmi(args) -> tuple[int, str]:
         ds, k_neighbors=args.neighbors, variant=args.variant, joint=args.joint
     )
     if args.dataset:
-        est = ds.estimate(args.variant)
-        rows = (
-            (t, k + 1, ds.V[t, k], est[t, k]) for t in range(ds.trials) for k in range(ds.K)
+        columns = (
+            np.repeat(np.arange(ds.trials), ds.K),
+            np.tile(np.arange(1, ds.K + 1), ds.trials),
+            ds.V.ravel(),
+            ds.estimate(args.variant).ravel(),
         )
         harness._write(
-            args.dataset, harness.format_csv(("trial", "k", "v", "attacker_estimate"), rows)
+            args.dataset, harness.format_csv(("trial", "k", "v", "attacker_estimate"), columns)
         )
 
     # skipped iterations have a NaN ratio; they render as JSON null and an
@@ -187,7 +189,7 @@ def _cmd_mnmi(args) -> tuple[int, str]:
         }
         return 0, harness.format_json(body)
     if args.format == "csv":
-        return 0, harness.format_csv(("k", "ratio"), enumerate(ratios, start=1))
+        return 0, harness.format_csv(("k", "ratio"), (range(1, len(ratios) + 1), ratios))
     return 0, (
         f"M-NMI = {report.value:.4g} at k = {report.argmax_k} "
         f"(epsilon = {sp.epsilon:g}, variant = {args.variant}, "
@@ -204,33 +206,32 @@ def _cmd_compare(args) -> tuple[int, str]:
 
     curves = {}
     for alg in args.algorithms:
-        traces = monte_carlo(pr, wm, sp, alg, cfg.iterations, trials, cfg.seed,
-                             jobs=args.jobs)
-        stats = analysis.trace_metrics(traces)
-        residual = np.stack([tr.residual for tr in traces]).mean(axis=0)
-        curves[alg] = (residual, stats)
+        residual = monte_carlo(pr, wm, sp, alg, cfg.iterations, trials, cfg.seed,
+                               jobs=args.jobs).residual
+        finals = residual[:, -1]
+        curves[alg] = (residual.mean(axis=0), float(finals.mean()), float(finals.std()))
 
     if args.format == "json":
         body = {
             alg: {
-                "residual_mean": residual.tolist(),
-                "final_residual_mean": stats.final_residual_mean,
-                "final_residual_std": stats.final_residual_std,
+                "residual_mean": mean.tolist(),
+                "final_residual_mean": final_mean,
+                "final_residual_std": final_std,
             }
-            for alg, (residual, stats) in curves.items()
+            for alg, (mean, final_mean, final_std) in curves.items()
         }
         return 0, harness.format_json(body)
     if args.format == "csv":
-        rows = (
-            (alg, k, value)
-            for alg, (residual, _stats) in curves.items()
-            for k, value in enumerate(residual)
+        steps = cfg.iterations + 1
+        columns = (
+            np.repeat(list(curves), steps),
+            np.tile(np.arange(steps), len(curves)),
+            np.concatenate([mean for mean, _, _ in curves.values()]),
         )
-        return 0, harness.format_csv(("algorithm", "k", "residual_mean"), rows)
+        return 0, harness.format_csv(("algorithm", "k", "residual_mean"), columns)
     return 0, "".join(
-        f"{alg}: final residual {stats.final_residual_mean:.6g} "
-        f"+- {stats.final_residual_std:.6g}\n"
-        for alg, (_residual, stats) in curves.items()
+        f"{alg}: final residual {final_mean:.6g} +- {final_std:.6g}\n"
+        for alg, (_, final_mean, final_std) in curves.items()
     )
 
 

@@ -32,12 +32,13 @@ stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
 computes the four trace metrics and every invariant diagnostic of the block
 with one reduction each, bitwise equal to reducing step by step. The first
 block that holds a non-finite state ends the run with a DivergenceError that
-names the trial and the iteration.
+names the trial and the iteration. Each chunk of trials gives one trial-major
+Trace, and `monte_carlo` joins the chunks along the trial axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -144,8 +145,10 @@ def _chunk_size(trials: int, T: int, n: int, p: int) -> int:
 
 @dataclass
 class Trace:
-    """Per-iteration scalar series for one trial (index 0 is the initial
-    state; step_norm[0] is defined as 0)."""
+    """Per-iteration scalar series of an ensemble, trial-major: row t of each
+    C-contiguous (trials, T + 1) array is trial t, and column 0 its initial
+    state (step_norm[:, 0] is defined as 0). diagnostics maps each invariant
+    to a (trials,) array of its worst residual per trial."""
 
     algorithm: str
     iterations: int
@@ -154,7 +157,24 @@ class Trace:
     mean_err: np.ndarray  # ||xbar - x*||^2
     step_norm: np.ndarray  # ||X(k) - X(k-1)||_F^2
     xstar: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
+
+    def __len__(self) -> int:
+        return len(self.residual)
+
+
+_SERIES = ("residual", "consensus_err", "mean_err", "step_norm")
+
+
+def _join(parts: list[Trace]) -> Trace:
+    """The trials of parts, in order, as one Trace; one part as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    joined = {name: np.concatenate([getattr(part, name) for part in parts])
+              for name in _SERIES}
+    diagnostics = {key: np.concatenate([part.diagnostics[key] for part in parts])
+                   for key in parts[0].diagnostics}
+    return replace(parts[0], **joined, diagnostics=diagnostics)
 
 
 def trial_seed(seed: int, t: int) -> int:
@@ -266,8 +286,8 @@ def _agent_mean(A):
 
 
 def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
-    """Simulate len(seeds) trials at once. Returns one trace per trial, with
-    that trial's worst residual of each invariant as its diagnostics.
+    """Simulate len(seeds) trials at once. Returns their Trace, with each
+    trial's worst residual of each invariant as its diagnostics.
 
     Steps are reduced in blocks of B, as many (trials, n, p) states as fit in
     _BLOCK_BYTES and at least one; a block of one stacks views, not copies.
@@ -281,28 +301,28 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     X, *_ = next(steps)
     B = max(1, _BLOCK_BYTES // X.nbytes)
 
-    # row k holds iteration k of every trial, so a block fills whole rows
-    residual = np.empty((T + 1, trials))
-    consensus = np.empty((T + 1, trials))
-    mean_err = np.empty((T + 1, trials))
-    step_norm = np.zeros((T + 1, trials))
+    # trial-major, as the Trace holds them; a block fills whole columns
+    residual = np.empty((trials, T + 1))
+    consensus = np.empty((trials, T + 1))
+    mean_err = np.empty((trials, T + 1))
+    step_norm = np.zeros((trials, T + 1))
 
-    def metrics(rows, Xb, Xprev):
-        """Fill rows of the four metric arrays from the (b, trials, n, p)
-        states Xb; Xprev is the state before Xb[0] (None at k = 0). Returns
-        the agent means, (b, trials, p)."""
+    def metrics(cols, Xb, Xprev):
+        """Fill columns cols of the four metric arrays from the (b, trials,
+        n, p) states Xb; Xprev is the state before Xb[0] (None at k = 0).
+        Returns the agent means, (b, trials, p)."""
         diff = Xb - xstar
-        residual[rows] = np.add.reduce(diff * diff, axis=(2, 3))
+        residual[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         xbar = _agent_mean(Xb)
         diff = Xb - xbar[:, :, None, :]
-        consensus[rows] = np.add.reduce(diff * diff, axis=(2, 3))
+        consensus[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         mdiff = xbar - xstar
-        mean_err[rows] = np.add.reduce(mdiff * mdiff, axis=2)
+        mean_err[:, cols] = np.add.reduce(mdiff * mdiff, axis=2).T
         if Xprev is not None:
             diff = np.empty_like(Xb)
             np.subtract(Xb[0], Xprev, out=diff[0])
             np.subtract(Xb[1:], Xb[:-1], out=diff[1:])
-            step_norm[rows] = np.add.reduce(diff * diff, axis=(2, 3))
+            step_norm[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         return xbar
 
     # invariant diagnostics: the worst residual of each identity over the run,
@@ -360,9 +380,9 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
         # its last yield and its own end-of-run check stays out of the way
         Xs, Ys, Gs, _, Xis = zip(*islice(steps, b))
         Xb = _stack(Xs)
-        rows = slice(k0, k0 + b)
-        xbar_b = metrics(rows, Xb, X)
-        if not np.isfinite(residual[rows]).all():
+        cols = slice(k0, k0 + b)
+        xbar_b = metrics(cols, Xb, X)
+        if not np.isfinite(residual[:, cols]).all():
             # a non-finite state makes its residual non-finite; the converse
             # need not hold, so the states decide
             bad = ~np.isfinite(Xb).all(axis=(2, 3))
@@ -375,22 +395,9 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
         S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
                      _shift(xbar, xbar_b), xbar_b, S)
         X, xbar = Xs[-1], xbar_b[-1]
-    steps.close()  # frees the noise block before the traces are built
+    steps.close()  # frees the noise block
 
-    diagnostics = {key: seen.tolist() for key, seen in worst_seen.items()}
-    return [
-        Trace(
-            algorithm=algorithm,
-            iterations=T,
-            residual=residual[:, t].copy(),
-            consensus_err=consensus[:, t].copy(),
-            mean_err=mean_err[:, t].copy(),
-            step_norm=step_norm[:, t].copy(),
-            xstar=xstar.copy(),
-            diagnostics={key: v[t] for key, v in diagnostics.items()},
-        )
-        for t in range(trials)
-    ]
+    return Trace(algorithm, T, residual, consensus, mean_err, step_norm, xstar, worst_seen)
 
 
 def _batched_job(args):
@@ -408,11 +415,11 @@ def run(
     seed: int,
     x0: np.ndarray | None = None,
 ) -> Trace:
-    """Simulate one trial for T iterations and return its trace."""
+    """Simulate one trial for T iterations and return its one-row Trace."""
     Wm = _mat(W)
     _validate(pr, Wm, sp, algorithm, T)
     xstar = optimum(pr)
-    return _batched(pr, Wm, sp, algorithm, T, [seed], x0, xstar)[0]
+    return _batched(pr, Wm, sp, algorithm, T, [seed], x0, xstar)
 
 
 def monte_carlo(
@@ -425,10 +432,10 @@ def monte_carlo(
     seed: int,
     x0: np.ndarray | None = None,
     jobs: int = 1,
-    chunk: int | None = None,
-) -> list[Trace]:
-    """Simulate an ensemble. Trial t reproduces run(..., seed=trial_seed(seed, t))
-    exactly, whatever the chunking or job count.
+) -> Trace:
+    """Simulate an ensemble. Row t of the Trace reproduces
+    run(..., seed=trial_seed(seed, t)) exactly, whatever the chunking or job
+    count.
 
     jobs > 1 distributes trial chunks over processes; results are identical
     to the serial path because every trial derives its own streams.
@@ -440,24 +447,18 @@ def monte_carlo(
     xstar = optimum(pr)
     seeds = _trial_seeds(seed, trials)
 
-    if chunk is None:
-        chunk = _chunk_size(trials, T, pr.n, pr.p)
+    chunk = _chunk_size(trials, T, pr.n, pr.p)
     pieces = [seeds[i : i + chunk] for i in range(0, trials, chunk)]
 
     if jobs <= 1 or len(pieces) == 1:
-        out: list[Trace] = []
-        for piece in pieces:
-            out.extend(_batched(pr, Wm, sp, algorithm, T, piece, x0, xstar))
-        return out
+        return _join([_batched(pr, Wm, sp, algorithm, T, piece, x0, xstar)
+                      for piece in pieces])
 
     from concurrent.futures import ProcessPoolExecutor
 
-    out = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
             pool.submit(_batched_job, (pr, Wm, sp, algorithm, T, piece, x0, xstar))
             for piece in pieces
         ]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+        return _join([fut.result() for fut in futures])

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _CONSTANT_STEP, ALGORITHMS, Trace, monte_carlo
+from .engine import _CONSTANT_STEP, _SERIES, ALGORITHMS, Trace, monte_carlo
 from .errors import ConfigError, ScheduleError
 from .objective import Problem, optimum, random_problem
 from .schedule import ScheduleParams, privacy_spent
@@ -271,33 +271,45 @@ def _cell(value) -> str:
     return str(value)
 
 
-def format_csv(header, rows) -> str:
-    """CSV text with a header line. Floats render by repr, None as an empty
-    cell and anything else by str."""
+def _rendered(column):
+    """The cells of one column, rendered lazily. Float and integer arrays
+    skip the per-cell rule and give the same text: np.float64 subclasses
+    float, so float.__repr__ reads its elements as they are."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return map(float.__repr__, column)
+        if column.dtype.kind in "iu":
+            return map(str, column)
+    return map(_cell, column)
+
+
+def format_csv(header, columns) -> str:
+    """CSV text with a header line, from equally long columns. Floats render
+    by repr, None as an empty cell and anything else by str."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(map(",".join, zip(*map(_rendered, columns))))
     return "\n".join(lines) + "\n"
 
 
-def format_trace_csv(traces: list[Trace]) -> str:
-    # the per-cell rule of format_csv, unrolled: this is the one CSV whose
-    # formatting time matters (trials * (T + 1) rows)
-    lines = ["trial,k,residual,consensus_err,mean_err,step_norm"]
-    for t, tr in enumerate(traces):
-        for k in range(tr.iterations + 1):
-            lines.append(
-                f"{t},{k},{float(tr.residual[k])!r},{float(tr.consensus_err[k])!r},"
-                f"{float(tr.mean_err[k])!r},{float(tr.step_norm[k])!r}"
-            )
-    return "\n".join(lines) + "\n"
+def format_trace_csv(trace: Trace) -> str:
+    """The trace CSV: one row per (trial, k), trial-major."""
+    trials, steps = trace.residual.shape
+    return format_csv(
+        ("trial", "k", *_SERIES),
+        (
+            np.repeat(np.arange(trials), steps),
+            np.tile(np.arange(steps), trials),
+            *(getattr(trace, name).ravel() for name in _SERIES),
+        ),
+    )
 
 
-def summarize(cfg: ExperimentConfig, traces: list[Trace], trace_csv: str) -> dict:
-    residuals = np.stack([tr.residual for tr in traces])
+def summarize(cfg: ExperimentConfig, trace: Trace, trace_csv: str) -> dict:
+    residuals = trace.residual
     finals = residuals[:, -1]
     body = {
         "config": {k: v for k, v in cfg.raw},
-        "trials": len(traces),
+        "trials": len(trace),
         "iterations": cfg.iterations,
         "privacy_spent": privacy_spent(cfg.schedule, cfg.iterations),
         "residual_mean": residuals.mean(axis=0).tolist(),
@@ -342,7 +354,7 @@ def run_experiment(
     """
     _, wm = build_graph(cfg)
     pr = build_problem(cfg)
-    traces = monte_carlo(
+    trace = monte_carlo(
         pr,
         wm,
         cfg.schedule,
@@ -352,8 +364,8 @@ def run_experiment(
         cfg.seed,
         jobs=jobs,
     )
-    trace_csv = format_trace_csv(traces)
-    summary = summarize(cfg, traces, trace_csv)
+    trace_csv = format_trace_csv(trace)
+    summary = summarize(cfg, trace, trace_csv)
 
     trace_path = trace_path or cfg.trace_path
     summary_path = summary_path or cfg.summary_path

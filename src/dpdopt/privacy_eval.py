@@ -37,7 +37,6 @@ __all__ = [
     "knn_mutual_information",
     "MnmiReport",
     "mnmi_report",
-    "mnmi",
 ]
 
 _JITTER = 1e-10
@@ -291,13 +290,3 @@ def mnmi_report(
         value=float(ratios[best]),
         skipped=tuple(skipped),
     )
-
-
-def mnmi(
-    ds: AttackerDataset,
-    k_neighbors: int = 3,
-    variant: str = "reconstruction",
-    joint: bool = False,
-) -> float:
-    """Max over iterations of the normalized leakage ratio, in [0, 1]."""
-    return mnmi_report(ds, k_neighbors, variant, joint).value

@@ -17,10 +17,8 @@ from dpdopt import (
     q1_bound,
     rho_less_than,
     stepsize,
-    trace_metrics,
     trial_seed,
     tune,
-    monte_carlo,
 )
 from dpdopt import engine
 from dpdopt.engine import _obs_step, _trajectory
@@ -251,21 +249,3 @@ def test_tune_reproducible_and_not_beaten_by_probes():
         assert val <= accuracy_bound(gg, aa, bb, **args) + 1e-15
     with pytest.raises(ValueError):
         tune(**args, restarts=0)
-
-
-def test_trace_metrics(audit_setup):
-    pair, wm, sp = audit_setup
-    traces = monte_carlo(pair.base, wm.W, sp, "alg1", 10, trials=3, seed=2)
-    st = trace_metrics(traces)
-    assert st.trials == 3
-    assert np.array_equal(st.s1, np.mean([t.mean_err for t in traces], axis=0))
-    assert np.array_equal(st.s2, np.mean([t.consensus_err for t in traces], axis=0))
-    assert np.array_equal(st.s3, np.mean([t.step_norm for t in traces], axis=0))
-    finals = np.array([t.residual[-1] for t in traces])
-    assert st.final_residual_mean == finals.mean()
-    assert st.final_residual_std == finals.std()
-    with pytest.raises(ValueError):
-        trace_metrics([])
-    short = monte_carlo(pair.base, wm.W, sp, "alg1", 5, trials=1, seed=2)
-    with pytest.raises(ValueError):
-        trace_metrics(traces + short)

@@ -276,6 +276,78 @@ def test_compare_csv(main_cfg, tmp_path, capsys):
     assert lines[1].startswith("alg1,0,")
 
 
+def rowwise_csv(header, rows):
+    """CSV text built row by row, with the per-cell rule written out: floats
+    by repr, None as an empty cell and anything else by str."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def test_compare_csv_matches_rowwise_reference(main_cfg, capsys):
+    assert cli([
+        "compare", "--config", main_cfg, "--algorithms", "alg1,dp-dgd", "--format", "csv",
+    ]) == 0
+    out = capsys.readouterr().out
+    cfg = dpdopt.load_config(main_cfg)
+    _, wm = dpdopt.build_graph(cfg)
+    pr = dpdopt.build_problem(cfg)
+    rows = []
+    for alg in ("alg1", "dp-dgd"):
+        trace = dpdopt.monte_carlo(pr, wm, cfg.schedule, alg, cfg.iterations, cfg.trials,
+                                   cfg.seed)
+        rows.extend((alg, k, value) for k, value in enumerate(trace.residual.mean(axis=0)))
+    assert out == rowwise_csv(("algorithm", "k", "residual_mean"), rows)
+
+
+def test_mnmi_dataset_matches_rowwise_reference(mnmi_cfg, tmp_path, capsys):
+    ds_path = tmp_path / "view.csv"
+    assert cli(["mnmi", "--config", mnmi_cfg, "--dataset", str(ds_path)]) == 0
+    capsys.readouterr()
+    cfg = dpdopt.load_config(mnmi_cfg)
+    _, wm = dpdopt.build_graph(cfg)
+    ds = dpdopt.collect_attacker_view(dpdopt.build_problem(cfg), wm, cfg.schedule,
+                                      cfg.iterations, cfg.trials, cfg.seed)
+    est = ds.estimate()
+    rows = ((t, k + 1, ds.V[t, k], est[t, k]) for t in range(ds.trials) for k in range(ds.K))
+    expected = rowwise_csv(("trial", "k", "v", "attacker_estimate"), rows)
+    assert ds_path.read_text(encoding="utf-8") == expected
+
+
+def test_ensemble_reductions_follow_trial_order(tmp_path, capsys):
+    # the summary's curves and compare's statistics are bitwise the
+    # reductions over np.stack of the per-trial runs; at 100 trials a
+    # reduction over a transposed view already rounds differently
+    path = tmp_path / "hundred.cfg"
+    path.write_text(MAIN_CFG.replace("run.trials = 5", "run.trials = 100"), encoding="utf-8")
+    cfg = dpdopt.load_config(str(path))
+    _, wm = dpdopt.build_graph(cfg)
+    pr = dpdopt.build_problem(cfg)
+    rows = np.stack([
+        dpdopt.run(pr, wm, cfg.schedule, "alg1", cfg.iterations,
+                   seed=dpdopt.trial_seed(cfg.seed, t)).residual[0]
+        for t in range(cfg.trials)
+    ])
+    mean, std, finals = rows.mean(axis=0).tolist(), rows.std(axis=0).tolist(), rows[:, -1]
+    assert cli(["run", "--config", str(path), "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["residual_mean"], summary["residual_std"]) == (mean, std)
+    assert summary["final_residual"]["mean"] == float(finals.mean())
+    assert summary["final_residual"]["std"] == float(finals.std())
+    assert cli([
+        "compare", "--config", str(path), "--algorithms", "alg1", "--format", "json",
+    ]) == 0
+    curve = json.loads(capsys.readouterr().out)["alg1"]
+    assert curve["residual_mean"] == mean
+    assert curve["final_residual_mean"] == float(finals.mean())
+    assert curve["final_residual_std"] == float(finals.std())
+
+
 def test_compare_unknown_algorithm(main_cfg, capsys):
     rc = cli(["compare", "--config", main_cfg, "--algorithms", "alg1,sgd"])
     assert rc == 2

@@ -54,22 +54,56 @@ def test_run_deterministic(setup):
     assert not np.array_equal(a.residual, c.residual)
 
 
+SERIES = ("residual", "consensus_err", "mean_err", "step_norm")
+
+
+def test_trace_layout(setup):
+    # one trial-major record: C-contiguous (trials, T + 1) series and one
+    # (trials,) array per diagnostic; run gives the one-row record
+    pr, wm, sp = setup
+    trace = monte_carlo(pr, wm.W, sp, "alg1", 15, trials=4, seed=77)
+    single = run(pr, wm.W, sp, "alg1", 15, seed=5)
+    for tr, trials in ((trace, 4), (single, 1)):
+        assert len(tr) == trials
+        for name in SERIES:
+            series = getattr(tr, name)
+            assert series.shape == (trials, 16)
+            assert series.flags.c_contiguous
+        assert set(tr.diagnostics) == {"y_mean_abs_max", "mean_dynamics_resid_max"}
+        for per_trial in tr.diagnostics.values():
+            assert per_trial.shape == (trials,)
+    assert (trace.algorithm, trace.iterations) == ("alg1", 15)
+
+
 def test_monte_carlo_matches_run(setup):
     pr, wm, sp = setup
-    traces = monte_carlo(pr, wm.W, sp, "alg1", 15, trials=4, seed=77)
-    for t, tr in enumerate(traces):
+    trace = monte_carlo(pr, wm.W, sp, "alg1", 15, trials=4, seed=77)
+    for t in range(len(trace)):
         single = run(pr, wm.W, sp, "alg1", 15, seed=trial_seed(77, t))
-        assert np.array_equal(tr.residual, single.residual)
-        assert np.array_equal(tr.consensus_err, single.consensus_err)
+        for name in SERIES:
+            assert np.array_equal(getattr(trace, name)[t], getattr(single, name)[0])
 
 
-def test_monte_carlo_jobs_and_chunks(setup):
+def assert_same_trace(a, b):
+    for name in SERIES:
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(b, name).flags.c_contiguous
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, per_trial in a.diagnostics.items():
+        assert np.array_equal(per_trial, b.diagnostics[key])
+
+
+def test_monte_carlo_jobs_and_chunks(setup, monkeypatch):
+    # the parts of an ensemble run in several chunks, serially or over a
+    # process pool (jobs = 3 with one trial per chunk), join into the record
+    # one chunk gives; chunks of 4 leave a last part of 2
     pr, wm, sp = setup
     base = monte_carlo(pr, wm.W, sp, "dp-dgd", 10, trials=6, seed=3)
-    for kwargs in ({"jobs": 2}, {"chunk": 2}, {"jobs": 3, "chunk": 1}):
-        alt = monte_carlo(pr, wm.W, sp, "dp-dgd", 10, trials=6, seed=3, **kwargs)
-        for a, b in zip(base, alt):
-            assert np.array_equal(a.residual, b.residual)
+    assert_same_trace(base, monte_carlo(pr, wm.W, sp, "dp-dgd", 10, trials=6, seed=3, jobs=2))
+    for chunk, jobs in ((2, 1), (4, 1), (1, 3)):
+        monkeypatch.setattr(engine, "_chunk_size", lambda *args, chunk=chunk: chunk)
+        alt = monte_carlo(pr, wm.W, sp, "dp-dgd", 10, trials=6, seed=3, jobs=jobs)
+        assert_same_trace(base, alt)
 
 
 def test_trace_metric_definitions(setup):
@@ -79,15 +113,15 @@ def test_trace_metric_definitions(setup):
     assert len(X) == 9
     for k in range(9):
         diff = X[k] - tr.xstar
-        assert np.isclose(tr.residual[k], np.sum(diff * diff), rtol=1e-13)
+        assert np.isclose(tr.residual[0, k], np.sum(diff * diff), rtol=1e-13)
         xbar = X[k].mean(axis=0)
         dev = X[k] - xbar
-        assert np.isclose(tr.consensus_err[k], np.sum(dev * dev), rtol=1e-13)
-        assert np.isclose(tr.mean_err[k], np.sum((xbar - tr.xstar) ** 2), rtol=1e-13)
+        assert np.isclose(tr.consensus_err[0, k], np.sum(dev * dev), rtol=1e-13)
+        assert np.isclose(tr.mean_err[0, k], np.sum((xbar - tr.xstar) ** 2), rtol=1e-13)
         if k:
             sd = X[k] - X[k - 1]
-            assert np.isclose(tr.step_norm[k], np.sum(sd * sd), rtol=1e-13)
-    assert tr.step_norm[0] == 0.0
+            assert np.isclose(tr.step_norm[0, k], np.sum(sd * sd), rtol=1e-13)
+    assert tr.step_norm[0, 0] == 0.0
     assert tr.iterations == 8
     assert tr.algorithm == "alg1"
 
@@ -122,8 +156,8 @@ def test_x0_broadcast(setup):
 def test_zero_iterations(setup):
     pr, wm, sp = setup
     tr = run(pr, wm.W, sp, "alg1", 0, seed=0)
-    assert tr.residual.shape == (1,)
-    assert tr.step_norm[0] == 0.0
+    assert tr.residual.shape == (1, 1)
+    assert tr.step_norm[0, 0] == 0.0
 
 
 def test_validation_errors(setup):
@@ -190,7 +224,7 @@ def test_diagnostics_keys(setup):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_diagnostics_are_per_trial(setup, algorithm):
+def test_diagnostics_are_per_trial(setup, algorithm, monkeypatch):
     # trial t reports its own worst invariant residual, so the chunking
     # cannot change it
     pr, wm, sp = setup
@@ -198,10 +232,13 @@ def test_diagnostics_are_per_trial(setup, algorithm):
         sp = NOISELESS
     T, trials, seed = 30, 6, 3
     base = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
-    one = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed, chunk=1)
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: 1)
+    assert_same_trace(base, monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed))
     for t in range(trials):
         single = run(pr, wm.W, sp, algorithm, T, seed=trial_seed(seed, t))
-        assert base[t].diagnostics == one[t].diagnostics == single.diagnostics
+        assert base.diagnostics.keys() == single.diagnostics.keys()
+        for key, per_trial in base.diagnostics.items():
+            assert per_trial[t] == single.diagnostics[key][0]
 
 
 def stepwise(pr, W, sp, algorithm, T, seeds):
@@ -236,7 +273,7 @@ def stepwise(pr, W, sp, algorithm, T, seeds):
         if k and algorithm == "gt-noiseless":
             fold("tracking_resid_max", Yk.mean(axis=1) - Gk.mean(axis=1))
         X, xbar = Xk, xbar_k
-    series = [np.array([col[m] for col in cols]).T for m in range(4)]
+    series = [np.array([col[m] for col in cols]).T for m in range(4)]  # trial-major
     return series, worst
 
 
@@ -254,14 +291,14 @@ def test_block_reduction_is_stepwise(setup, algorithm, T, monkeypatch):
     state_bytes = trials * pr.n * pr.p * 8
     for block_bytes in (1, 3 * state_bytes, (T + 1) * state_bytes):
         monkeypatch.setattr(engine, "_BLOCK_BYTES", block_bytes)
-        traces = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
-        for t, tr in enumerate(traces):
-            got = (tr.residual, tr.consensus_err, tr.mean_err, tr.step_norm)
-            for want, have in zip(series, got):
-                assert np.array_equal(want[t], have)
-            expected = {key: 0.0 for key in tr.diagnostics}
-            expected.update({key: float(seen[t]) for key, seen in worst.items()})
-            assert tr.diagnostics == expected
+        trace = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
+        for want, name in zip(series, SERIES):
+            assert np.array_equal(want, getattr(trace, name))
+        expected = {key: np.zeros(trials) for key in trace.diagnostics}
+        expected.update(worst)
+        assert trace.diagnostics.keys() == expected.keys()
+        for key, per_trial in trace.diagnostics.items():
+            assert np.array_equal(per_trial, expected[key])
 
 
 def test_divergence_raises(setup, monkeypatch):

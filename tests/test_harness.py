@@ -20,6 +20,7 @@ from dpdopt.harness import (
     run_experiment,
     summarize,
 )
+from dpdopt import engine
 from dpdopt.engine import monte_carlo
 from dpdopt.objective import random_problem
 from dpdopt.schedule import privacy_spent
@@ -245,49 +246,71 @@ def small_run():
     cfg = parse_config_text(config_text())
     _, wm = build_graph(cfg)
     pr = build_problem(cfg)
-    traces = monte_carlo(
+    trace = monte_carlo(
         pr, wm, cfg.schedule, cfg.algorithm, cfg.iterations, cfg.trials, cfg.seed
     )
-    return cfg, traces
+    return cfg, trace
 
 
 def test_trace_csv_shape_and_round_trip(small_run):
-    cfg, traces = small_run
-    text = format_trace_csv(traces)
+    cfg, trace = small_run
+    text = format_trace_csv(trace)
     lines = text.splitlines()
     assert lines[0] == "trial,k,residual,consensus_err,mean_err,step_norm"
     assert len(lines) == 1 + cfg.trials * (cfg.iterations + 1)
     assert "np." not in text
     row = lines[1 + (cfg.iterations + 1) * 2 + 5].split(",")
     assert (int(row[0]), int(row[1])) == (2, 5)
-    assert float(row[2]) == traces[2].residual[5]
-    assert float(row[5]) == traces[2].step_norm[5]
+    assert float(row[2]) == trace.residual[2, 5]
+    assert float(row[5]) == trace.step_norm[2, 5]
 
 
-def test_format_csv_cell_rule(small_run):
-    # floats by repr with numpy scalars unwrapped, None as an empty cell,
-    # anything else by str; the unrolled trace formatter follows the same rule
+def reference_trace_csv(trace):
+    """The trace CSV written out cell by cell, without format_csv."""
+    lines = ["trial,k,residual,consensus_err,mean_err,step_norm"]
+    for t in range(len(trace)):
+        for k in range(trace.iterations + 1):
+            lines.append(
+                f"{t},{k},{float(trace.residual[t, k])!r},{float(trace.consensus_err[t, k])!r},"
+                f"{float(trace.mean_err[t, k])!r},{float(trace.step_norm[t, k])!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def test_format_csv_cell_rule(small_run, monkeypatch):
+    # floats by repr with numpy scalars unwrapped, None as an empty cell and
+    # anything else by str
     row = (1, None, np.float64(0.1), 2.5e-300, np.False_, "alg1")
-    assert format_csv("abcdef", [row]) == "a,b,c,d,e,f\n1,,0.1,2.5e-300,False,alg1\n"
-    _, traces = small_run
-    rows = (
-        (t, k, tr.residual[k], tr.consensus_err[k], tr.mean_err[k], tr.step_norm[k])
-        for t, tr in enumerate(traces)
-        for k in range(tr.iterations + 1)
+    columns = [[value] for value in row]
+    assert format_csv("abcdef", columns) == "a,b,c,d,e,f\n1,,0.1,2.5e-300,False,alg1\n"
+    # float and integer arrays render as the same values in lists do
+    columns = (np.array([3, -7]), np.array([0.1, -2.5e-300]), [3, -7], [0.1, -2.5e-300])
+    assert format_csv("abcd", columns) == "a,b,c,d\n3,0.1,3,0.1\n-7,-2.5e-300,-7,-2.5e-300\n"
+    # the trace CSV of an ensemble run in two chunks equals the cell-by-cell
+    # reference byte for byte
+    cfg, _ = small_run
+    _, wm = build_graph(cfg)
+    pr = build_problem(cfg)
+    chunks = []
+    batched = engine._batched
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: 3)
+    monkeypatch.setattr(engine, "_batched", lambda *args: chunks.append(1) or batched(*args))
+    trace = monte_carlo(
+        pr, wm, cfg.schedule, cfg.algorithm, cfg.iterations, cfg.trials, cfg.seed
     )
-    header = ("trial", "k", "residual", "consensus_err", "mean_err", "step_norm")
-    assert format_csv(header, rows) == format_trace_csv(traces)
+    assert len(chunks) == 2
+    assert format_trace_csv(trace) == reference_trace_csv(trace)
 
 
 def test_summary_fields(small_run):
-    cfg, traces = small_run
-    csv_text = format_trace_csv(traces)
-    body = summarize(cfg, traces, csv_text)
+    cfg, trace = small_run
+    csv_text = format_trace_csv(trace)
+    body = summarize(cfg, trace, csv_text)
     assert body["config"] == dict(cfg.raw)
     assert body["trials"] == cfg.trials
     assert body["iterations"] == cfg.iterations
     assert body["privacy_spent"] == privacy_spent(cfg.schedule, cfg.iterations)
-    stacked = np.stack([tr.residual for tr in traces])
+    stacked = trace.residual
     assert body["residual_mean"] == stacked.mean(axis=0).tolist()
     assert body["residual_std"] == stacked.std(axis=0).tolist()
     finals = stacked[:, -1]
