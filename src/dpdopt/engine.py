@@ -143,12 +143,13 @@ def _chunk_size(trials: int, T: int, n: int, p: int) -> int:
     return max(1, min(trials, (256 << 20) // per_trial))
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """Per-iteration scalar series of an ensemble, trial-major: row t of each
     C-contiguous (trials, T + 1) array is trial t, and column 0 its initial
     state (step_norm[:, 0] is defined as 0). diagnostics maps each invariant
-    to a (trials,) array of its worst residual per trial."""
+    to a (trials,) array of its worst residual per trial. Traces compare by
+    identity; compare their arrays to compare their values."""
 
     algorithm: str
     iterations: int
@@ -184,8 +185,8 @@ def trial_seed(seed: int, t: int) -> int:
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
     """[trial_seed(seed, t) for t in range(trials)], drawn through draw_rows."""
-    entropies = [(seed, "trial", t) for t in range(trials)]
-    return draw_rows(entropies, lambda gen: int(gen.integers(2**63)))
+    return draw_rows([(seed, "trial", np.arange(trials))],
+                     lambda gen: int(gen.integers(2**63)))
 
 
 def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T: int):
@@ -210,14 +211,15 @@ def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool, x0=None):
     laplace_from_uniform.
     """
     trials = len(seeds)
+    seeds = np.asarray(seeds)
     if x0 is None:
-        X = draw_rows([(s, "init") for s in seeds], np.random.Generator.standard_normal,
+        X = draw_rows([(seeds, "init")], np.random.Generator.standard_normal,
                       out=np.empty((trials, n, p)))
     else:
         X = np.broadcast_to(np.asarray(x0, dtype=float), (trials, n, p)).copy()
     U = None
     if noisy:
-        U = draw_rows([(s, "noise") for s in seeds], np.random.Generator.random,
+        U = draw_rows([(seeds, "noise")], np.random.Generator.random,
                       out=np.empty((trials, T, n, p)))
     return X, U
 

@@ -75,6 +75,18 @@ def test_trace_layout(setup):
     assert (trace.algorithm, trace.iterations) == ("alg1", 15)
 
 
+def test_trace_equality_is_identity(setup):
+    # numpy fields make a field-wise == ambiguous; traces compare by identity
+    pr, wm, sp = setup
+    first = run(pr, wm.W, sp, "alg1", 15, seed=5)
+    second = run(pr, wm.W, sp, "alg1", 15, seed=5)
+    assert (first == second) is False
+    assert first == first
+    assert first != second
+    for name in SERIES:
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
 def test_monte_carlo_matches_run(setup):
     pr, wm, sp = setup
     trace = monte_carlo(pr, wm.W, sp, "alg1", 15, trials=4, seed=77)
