@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
@@ -195,19 +196,59 @@ def _marginal_counts(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return hi - lo
 
 
+def _knn_radius(s: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """Each row's max-norm distance to its k-th neighbour in the plane (s, t),
+    for s sorted: the same value as `cKDTree(joint).query(joint, k + 1,
+    p=inf)[0][:, k]`, bit for bit.
+
+    A row's window of 2w + 1 rows in sorted order gives an upper bound: the
+    (k + 1)-th smallest of their distances max(|s_j - s_i|, |t_j - t_i|),
+    the row itself included, which are the kd-tree's own float operations.
+    fl(s_i - s_j) is monotone in s_j, so no row past either end of the
+    window is nearer than the gap in s to the first one past it; a bound
+    within both gaps is the radius. Windows of w = k, then w = 4k, settle
+    most rows, and one kd-tree query settles the rest.
+    """
+    n = len(s)
+    radius = np.empty(n)
+    rows = np.arange(n)
+    for w in (k, min(4 * k, n - 1)):
+        # padding past both ends: infinite gaps, infinitely far neighbours
+        pad = np.full(w + 1, np.inf)
+        sp = np.concatenate([-pad, s, pad])
+        tp = np.concatenate([pad, t, pad])
+        d = np.maximum(
+            np.abs(sliding_window_view(sp[1:-1], 2 * w + 1)[rows] - s[rows, None]),
+            np.abs(sliding_window_view(tp[1:-1], 2 * w + 1)[rows] - t[rows, None]),
+        )
+        bound = np.partition(d, k, axis=1)[:, k]
+        settled = (bound <= s[rows] - sp[rows]) & (bound <= sp[rows + 2 * w + 2] - s[rows])
+        radius[rows[settled]] = bound[settled]
+        rows = rows[~settled]
+        if not len(rows):
+            return radius
+    joint = np.column_stack([s, t])
+    radius[rows] = cKDTree(joint).query(joint[rows], k=k + 1, p=np.inf)[0][:, k]
+    return radius
+
+
 def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
     """kNN mutual information in nats (Kraskov et al. variant 1, max-norm).
 
-    I = psi(k) + psi(N) - <psi(n_x + 1) + psi(n_y + 1)>. The joint
-    kth-neighbour distance comes from one kd-tree, less 1e-15 so that the
-    marginal counts n_x + 1 and n_y + 1 (the point itself included) take
-    neighbours strictly inside it. A one-column marginal is counted on its
-    sorted values: a window found by binary search, with its ends settled
-    by re-testing the kd-tree's own predicate |s_j - a_i| <= r_i, so a point
-    that rounding puts on the boundary counts exactly as in a kd-tree range
-    query. Wider marginals use the kd-tree range query itself.
-    Slightly negative outputs are possible; callers clamp where needed.
-    A deterministic jitter of amplitude 1e-10 breaks distance ties.
+    I = psi(k) + psi(N) - <psi(n_x + 1) + psi(n_y + 1)>, where each point's
+    radius is the max-norm distance to its kth joint neighbour, less 1e-15
+    so that the marginal counts n_x + 1 and n_y + 1 (the point itself
+    included) take neighbours strictly inside it. A deterministic jitter of
+    amplitude 1e-10 breaks distance ties.
+
+    When both marginals have one column, the points are sorted on the
+    coordinate with the wider spread, and the radius comes from windows of
+    sorted neighbours (`_knn_radius`); rows a window cannot settle go to a
+    kd-tree query. The marginals are counted on sorted values
+    (`_marginal_counts`). Wider marginals use a kd-tree for the radius and
+    kd-tree range queries for the counts. Either way every radius and count
+    equals the kd-tree's bit for bit, so the value does not depend on the
+    path. Slightly negative outputs are possible; callers clamp where needed.
     """
     xs = _as_samples(xs)
     ys = _as_samples(ys)
@@ -218,20 +259,29 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
         raise ValueError(f"need at least 50 samples, got {n}")
     if not 1 <= k_neighbors <= n - 1:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("samples must be finite")
 
     jx, jy = _jitter(xs.shape, ys.shape)
     xs = xs + jx
     ys = ys + jy
 
-    joint = np.hstack([xs, ys])
-    radius, _ = cKDTree(joint).query(joint, k=k_neighbors + 1, p=np.inf)
-    radius = np.maximum(radius[:, k_neighbors] - 1e-15, 0.0)
+    if xs.shape[1] == ys.shape[1] == 1:
+        if np.ptp(ys) > np.ptp(xs):
+            xs, ys = ys, xs  # the estimate is symmetric; sort on the wider spread
+        order = np.argsort(xs[:, 0])
+        xs, ys = xs[order], ys[order]
+        radius = _knn_radius(xs[:, 0], ys[:, 0], k_neighbors)
+    else:
+        order = np.arange(n)
+        joint = np.hstack([xs, ys])
+        radius = cKDTree(joint).query(joint, k=k_neighbors + 1, p=np.inf)[0][:, k_neighbors]
+    radius = np.maximum(radius - 1e-15, 0.0)
 
-    nx = _marginal_counts(xs, radius)
-    ny = _marginal_counts(ys, radius)
-    return float(
-        digamma(k_neighbors) + digamma(n) - np.mean(digamma(nx) + digamma(ny))
-    )
+    # the mean runs in the samples' own order, so its rounding is the same on both paths
+    psi = np.empty(n)
+    psi[order] = digamma(_marginal_counts(xs, radius)) + digamma(_marginal_counts(ys, radius))
+    return float(digamma(k_neighbors) + digamma(n) - np.mean(psi))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from dpdopt import (
     trial_seed,
 )
 from dpdopt.engine import _trajectory
-from dpdopt.privacy_eval import _marginal_counts
+from dpdopt import privacy_eval
+from dpdopt.privacy_eval import _knn_radius, _marginal_counts
 from dpdopt.rng import substream
 
 
@@ -97,6 +98,16 @@ def test_knn_mi_validation():
         knn_mutual_information(x.reshape(4, 5, 5), x.reshape(4, 5, 5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_knn_mi_rejects_non_finite(bad, side):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(100), rng.standard_normal(100)
+    (x if side == "x" else y)[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        knn_mutual_information(x, y)
+
+
 def test_knn_mi_gaussian_calibration():
     rho, n = 0.6, 1500
     rng = np.random.default_rng(42)
@@ -139,6 +150,56 @@ def test_marginal_counts_equal_kdtree(case):
     assert np.array_equal(_marginal_counts(a[:, None], r), _tree_counts(a[:, None], r))
 
 
+def _radius_case(case, rng):
+    if case == "integer-grid":
+        # many max-norm distances tie exactly
+        return rng.integers(0, 10, (400, 2)).astype(float)
+    if case == "repeated":
+        return np.repeat(rng.standard_normal((40, 2)), 10, axis=0)
+    if case == "near-1e3":
+        # the 1e-15 shrink of a radius is below one ulp here
+        return 1e3 + rng.standard_normal((400, 2)) * [1e-9, 1e-11]
+    if case == "constant-column":
+        return np.column_stack([rng.standard_normal(400), np.full(400, 2.5)])
+    if case == "correlated":
+        x = rng.standard_normal(2000)
+        return np.column_stack([x, x + rng.standard_normal(2000)])
+    return rng.standard_normal((50, 2))
+
+
+@pytest.mark.parametrize(
+    "case, k",
+    [
+        ("integer-grid", 3),
+        ("repeated", 3),
+        ("repeated", 12),
+        ("near-1e3", 3),
+        ("constant-column", 3),
+        ("n50", 1),
+        ("n50", 49),
+        ("correlated", 3),
+    ],
+)
+def test_knn_radius_equals_kdtree(case, k, monkeypatch):
+    points = _radius_case(case, np.random.default_rng(13))
+    points = points[np.argsort(points[:, 0])]
+    fallback = []
+    tree = privacy_eval.cKDTree
+
+    class Recorder(tree):
+        def query(self, x, *args, **kwargs):
+            fallback.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(privacy_eval, "cKDTree", Recorder)
+    got = _knn_radius(points[:, 0], points[:, 1], k)
+    want = tree(points).query(points, k=k + 1, p=np.inf)[0][:, k]
+    assert np.array_equal(got, want)
+    if case == "correlated":
+        # the windows leave rows open, and the kd-tree settles them
+        assert sum(fallback) > 0
+
+
 def _kdtree_mi(xs, ys, k=3):
     xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
     ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
@@ -171,6 +232,19 @@ def test_ksg_counts_match_kdtree_on_leakage_data(triangle):
     assert knn_mutual_information(v, v) == _kdtree_mi(v, v)
     triple = ds.triple()[:, 2]
     assert knn_mutual_information(v, triple) == _kdtree_mi(v, triple)
+
+
+@pytest.mark.parametrize("epsilon", [10.0, 0.1])
+def test_knn_mi_equals_kdtree_on_leakage_data(triangle, epsilon):
+    pr, wm, _ = triangle
+    sp = ScheduleParams(gamma=0.01, beta=100.0, q1=0.5, q2=0.99, epsilon=epsilon, delta=1.0)
+    ds = collect_attacker_view(pr, wm.W, sp, T=8, trials=2000, seed=9)
+    triple = ds.triple()
+    for idx in range(ds.K):
+        v = ds.V[:, idx]
+        for other in (v, ds.estimate_reconstruction[:, idx], triple[:, idx]):
+            for k in (1, 3, 5):
+                assert knn_mutual_information(v, other, k) == _kdtree_mi(v, other, k)
 
 
 def test_mnmi_is_one_for_perfect_estimate(dataset):
