@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _draw_streams, _mat, _obs_step, _schedule_arrays, _trajectory, _trial_seeds
+from .engine import (_DYNAMICS, _chunk_size, _draw_streams, _mat, _obs_step, _schedule_arrays,
+                     _trajectory, _trial_seeds)
 from .engine import trial_seed  # noqa: F401  (perfbench/tracing.py patches it)
 from .errors import ScheduleError
 from .objective import AdjacentPair
@@ -39,7 +40,8 @@ __all__ = [
     "tune",
 ]
 
-AUDIT_ALGORITHMS = ("alg1", "dp-dgd", "dgd-true-consensus", "dgd-true-gradient")
+# the noisy rows that read no previous gradient, since _replay passes none
+AUDIT_ALGORITHMS = tuple(a for a, row in _DYNAMICS.items() if not (row.constant or row.tracking))
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,38 @@ def audit_sensitivity(
             f"sensitivity audit supports {AUDIT_ALGORITHMS}, got {algorithm!r}"
         )
     Wm, seeds = _audit_setup(pair, W, T, trials, seed)
-    return _replay(pair, algorithm, Wm, sp, T, seeds)
+    return _envelopes(pair, (algorithm,), Wm, sp, T, seeds)[algorithm]
 
 
-def _replay(pair, algorithm, Wm, sp, T, seeds, streams=None) -> SensitivityEnvelope:
-    """audit_sensitivity on checked arguments; streams, if given, are the
-    trial streams of seeds, drawn once by _draw_streams."""
+def _envelopes(pair, algorithms, Wm, sp, T, seeds) -> dict:
+    """The SensitivityEnvelope of each of algorithms, on checked arguments.
+    The trials replay in `_chunk_size` chunks, as the simulator runs them, each
+    chunk's streams shared by every replay; the maximum over chunks is exact."""
+    n, p = pair.base.n, pair.base.p
+    chunk = _chunk_size(len(seeds), T, n, p)
+    parts = {alg: [] for alg in algorithms}
+    for i in range(0, len(seeds), chunk):
+        piece = seeds[i : i + chunk]
+        streams = _draw_streams(piece, T, n, p, sp.delta > 0.0)
+        for alg in algorithms:
+            parts[alg].append(_replay(pair, alg, Wm, sp, T, piece, streams))
+    alphas, _ = _schedule_arrays(sp, T)
+    return {
+        alg: SensitivityEnvelope(
+            algorithm=alg,
+            delta_hat=np.max([delta_hat for delta_hat, _ in chunks], axis=0),
+            bound=pair.delta * alphas,
+            trials=len(seeds),
+            off_target_max=max(off_target for _, off_target in chunks),
+        )
+        for alg, chunks in parts.items()
+    }
+
+
+def _replay(pair, algorithm, Wm, sp, T, seeds, streams):
+    """Replay one dynamic over the trial streams of seeds, drawn by
+    _draw_streams. Returns the per-k maximum over these trials of the L1 state
+    gap and the largest gap on an untouched row."""
     alphas, _ = _schedule_arrays(sp, T)
     others = np.arange(pair.base.n) != pair.i0
     steps = _trajectory(pair.base, Wm, sp, algorithm, T, seeds, streams=streams)
@@ -122,14 +150,7 @@ def _replay(pair, algorithm, Wm, sp, T, seeds, streams=None) -> SensitivityEnvel
         D = np.abs(Xb - Xp)
         gaps[:, idx] = D.sum(axis=(1, 2))
         off_target = max(off_target, float(D[:, others, :].max(initial=0.0)))
-
-    return SensitivityEnvelope(
-        algorithm=algorithm,
-        delta_hat=gaps.max(axis=0),
-        bound=pair.delta * alphas,
-        trials=len(seeds),
-        off_target_max=off_target,
-    )
+    return gaps.max(axis=0), off_target
 
 
 @dataclass(frozen=True)
@@ -178,13 +199,11 @@ def compare_sensitivities(
     Each envelope equals audit_sensitivity(pair, alg, W, sp, T, trials,
     seed): every dynamic sees the same initial states and the same uniform
     draws, so differences in the envelopes are attributable to the dynamics
-    alone. Those streams are drawn once and shared by the four replays.
+    alone. Those streams are drawn once per chunk of trials and shared by the
+    four replays.
     """
     Wm, seeds = _audit_setup(pair, W, T, trials, seed)
-    streams = _draw_streams(seeds, T, pair.base.n, pair.base.p, sp.delta > 0.0)
-    envelopes = {
-        alg: _replay(pair, alg, Wm, sp, T, seeds, streams) for alg in AUDIT_ALGORITHMS
-    }
+    envelopes = _envelopes(pair, AUDIT_ALGORITHMS, Wm, sp, T, seeds)
     ordering_gap = {}
     for lo, hi in _ORDERING_LEGS:
         gap = envelopes[lo].delta_hat - envelopes[hi].delta_hat
@@ -339,6 +358,13 @@ def q1_bound(sigma: float, theta: float = 2.0, w_minus_i_norm: float = 2.0) -> f
     return math.sqrt(om**4 / denom)
 
 
+def _require_finite(**reals) -> None:
+    """Raise a ValueError that names every argument that is not a finite number."""
+    bad = [f"{name}={value}" for name, value in reals.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"arguments must be finite, got {', '.join(bad)}")
+
+
 def accuracy_bound(
     gamma: float,
     q1: float,
@@ -354,6 +380,8 @@ def accuracy_bound(
 ) -> float:
     """Limiting mean-error bound: a geometric-forgetting term in c1, a
     stepsize-bias term in c2, and two noise terms scaling as 1/epsilon^2."""
+    _require_finite(gamma=gamma, q1=q1, q2=q2, epsilon=epsilon, delta=delta, mu=mu, L=L,
+                    c1=c1, c2=c2)
     if not 0.0 < q1 < 1.0:
         raise ScheduleError(f"q1 must be in (0, 1), got {q1}")
     if not q1 < q2 < 1.0:
@@ -418,6 +446,7 @@ def tune(
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    _require_finite(epsilon=epsilon, delta=delta, mu=mu, L=L, c1=c1, c2=c2)
     g_hi = 2.0 / (mu + L)
     g_lo = 1e-6
     if g_hi <= g_lo:

@@ -15,17 +15,16 @@ Seven dynamics share one interface. States live in (n, p) matrices (or
                        alpha; converges exactly when alpha*beta = 1
   dgd-noiseless-constant    plain DGD with constant alpha (biased floor)
 
-The three *-constant/noiseless tags require delta = 0 schedules and use
-alpha = gamma at every iteration; the rest follow the geometric schedule.
-
-`_KERNELS` maps each name to its step kernel; the two *-noiseless-constant
-dynamics reuse the alg1 and dp-dgd kernels. Every kernel maps
-(X, Y, G, Z, W, pr, a_k, beta) to (X, Y, G): Z is what went over the wire
-(X itself when noiseless) and G the stacked gradient the step used. The G
-passed in is the one the previous step returned; only gradient tracking
-reads it, as grad F(X). The simulator, the sensitivity audit and the
-attacker view all step through one generator, `_trajectory`, which owns the
-trial streams, the schedule, the noise draw and the kernel call.
+`_DYNAMICS` holds one `_Dynamic` row per dynamic, and every layer reads the
+row, never the name: the step kernel, `constant` (noiseless with alpha_k =
+gamma, so delta = 0; the rest follow the geometric schedule), `tracking`
+(Y(0) = G(0) = grad F(X(0)), and the kernel reads G) and the `invariants`
+`_batched` checks. Every kernel maps (X, Y, G, Z, W, pr, a_k, beta) to
+(X, Y, G): Z is what went over the wire (X itself when noiseless), G the
+stacked gradient the step used and the G passed in the one the previous
+step returned. The simulator, the sensitivity audit and the attacker view
+all step through one generator, `_trajectory`, which owns the trial
+streams, the schedule, the noise draw and the kernel call.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -100,19 +100,29 @@ def step_gt(X, Y, G, Z, W, pr: Problem, a_k, beta):
     return Xnew, W @ Y + Gnew - G, Gnew
 
 
-_KERNELS = {
-    "alg1": _step_alg1,
-    "dp-dgd": _step_dpdgd,
-    "dgd-true-consensus": _step_true_consensus,
-    "dgd-true-gradient": _step_true_gradient,
-    "gt-noiseless": step_gt,
-    "alg1-noiseless-constant": _step_alg1,
-    "dgd-noiseless-constant": _step_dpdgd,
+@dataclass(frozen=True)
+class _Dynamic:
+    kernel: Callable  # (X, Y, G, Z, W, pr, a_k, beta) -> (X, Y, G)
+    constant: bool = False  # noiseless with alpha_k = gamma, so delta must be 0
+    tracking: bool = False  # Y(0) = G(0) = grad F(X(0)), and the kernel reads G
+    invariants: tuple[str, ...] = ()  # the identities _batched checks: diagnostics keys
+
+
+_DYNAMICS = {
+    "alg1": _Dynamic(_step_alg1, invariants=("y_mean_abs_max", "mean_dynamics_resid_max")),
+    "dp-dgd": _Dynamic(_step_dpdgd),
+    "dgd-true-consensus": _Dynamic(_step_true_consensus),
+    "dgd-true-gradient": _Dynamic(_step_true_gradient),
+    "gt-noiseless": _Dynamic(step_gt, constant=True, tracking=True,
+                             invariants=("tracking_resid_max",)),
+    "alg1-noiseless-constant": _Dynamic(_step_alg1, constant=True, invariants=(
+        "y_mean_abs_max", "mean_dynamics_resid_max", "unrolled_runsum_resid_max")),
+    "dgd-noiseless-constant": _Dynamic(_step_dpdgd, constant=True),
 }
 
-ALGORITHMS = tuple(_KERNELS)
+ALGORITHMS = tuple(_DYNAMICS)
 
-_CONSTANT_STEP = frozenset(name for name in ALGORITHMS if "noiseless" in name)
+_CONSTANT_STEP = frozenset(name for name, row in _DYNAMICS.items() if row.constant)
 
 
 def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float,
@@ -125,7 +135,7 @@ def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float
     replays the recorded Z into the perturbed twin through it too, which
     keeps the untouched agents bitwise identical across the pair.
     """
-    return _KERNELS[algorithm](X, Y, G, Z, W, pr, a_k, beta)
+    return _DYNAMICS[algorithm].kernel(X, Y, G, Z, W, pr, a_k, beta)
 
 
 def _schedule_arrays(sp: ScheduleParams, T: int, constant: bool = False):
@@ -148,8 +158,8 @@ class Trace:
     """Per-iteration scalar series of an ensemble, trial-major: row t of each
     C-contiguous (trials, T + 1) array is trial t, and column 0 its initial
     state (step_norm[:, 0] is defined as 0). diagnostics maps each invariant
-    to a (trials,) array of its worst residual per trial. Traces compare by
-    identity; compare their arrays to compare their values."""
+    of the dynamic's row to a (trials,) array of its worst residual per trial,
+    none when T = 0. Traces compare by identity; compare their arrays."""
 
     algorithm: str
     iterations: int
@@ -196,7 +206,7 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
         raise ValueError(f"weight matrix shape {W.shape} does not match n={pr.n}")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0, got {T}")
-    if algorithm in _CONSTANT_STEP and sp.delta != 0.0:
+    if _DYNAMICS[algorithm].constant and sp.delta != 0.0:
         raise ScheduleError(f"{algorithm} is a noiseless dynamic; needs delta = 0")
 
 
@@ -228,13 +238,13 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None, streams=None):
     """Step len(seeds) trials of one dynamic together, yielding
     (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches.
 
-    The trial streams are `_draw_streams`'s; a noiseless run (a *-noiseless
+    The trial streams are `_draw_streams`'s; a noiseless run (a constant
     dynamic, or delta = 0) draws no noise stream. streams, if given, is the
     (X0, U) pair `_draw_streams` returned for these seeds, drawn once and
     shared by several dynamics; it is only read.
 
     k = 0 yields the initial state, Y(0) and G(0) (zero and None, except for
-    gradient tracking, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
+    a tracking dynamic, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
     Each later yield is the state after step k, the G that step evaluated,
     the observation Z = X(k-1) + Xi it consumed and the noise Xi (None, with
     Z = X(k-1), when noiseless). Yielded arrays are never written again.
@@ -242,10 +252,11 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None, streams=None):
     last step has been consumed.
     """
     W = _mat(W)
-    noisy = algorithm not in _CONSTANT_STEP and sp.delta > 0.0
+    row = _DYNAMICS[algorithm]
+    noisy = not row.constant and sp.delta > 0.0
     X, U = _draw_streams(seeds, T, pr.n, pr.p, noisy, x0) if streams is None else streams
-    alphas, nus = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
-    G = pr.gradients(X) if algorithm == "gt-noiseless" else None
+    alphas, nus = _schedule_arrays(sp, T, row.constant)
+    G = pr.gradients(X) if row.tracking else None
     Y = np.zeros_like(X) if G is None else G
     Z = Xi = None
     yield X, Y, G, Z, Xi
@@ -296,7 +307,8 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
     """
     W = _mat(W)
     trials = len(seeds)
-    alphas, _ = _schedule_arrays(sp, T, algorithm in _CONSTANT_STEP)
+    row = _DYNAMICS[algorithm]
+    alphas, _ = _schedule_arrays(sp, T, row.constant)
     # the first yield draws the trial streams; their noise block is the
     # memory peak, so it is allocated before the metric arrays below exist
     steps = _trajectory(pr, W, sp, algorithm, T, seeds, x0)
@@ -327,37 +339,27 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
             step_norm[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         return xbar
 
-    # invariant diagnostics: the worst residual of each identity over the run,
-    # per trial
-    alg1_kernel = _KERNELS[algorithm] is _step_alg1
-    keys = ["y_mean_abs_max"]
-    if alg1_kernel:
-        keys.append("mean_dynamics_resid_max")
-    if algorithm == "alg1-noiseless-constant":
-        keys.append("unrolled_runsum_resid_max")
-    if algorithm == "gt-noiseless":
-        # Y(0) is grad F(X(0)) itself, so the residual starts at exactly 0
-        keys.append("tracking_resid_max")
-    worst_seen = {key: np.zeros(trials) for key in keys}
+    # each trial's worst residual of each invariant, keyed once its check ran
+    worst_seen = {}
 
     def worst(key, resid):
         # resid is (b, trials, ...): fold in each trial's largest |entry|
         axes = (0, *range(2, resid.ndim))
-        worst_seen[key] = np.maximum(worst_seen[key], np.abs(resid).max(axis=axes))
+        worst_seen[key] = np.maximum(worst_seen.get(key, 0.0), np.abs(resid).max(axis=axes))
 
     def diagnose(a, Xb, Ys, Gs, Xis, Xprev, xbar_prev, xbar, S):
         """Fold one block's invariant residuals into worst_seen; a holds the
         block's stepsizes. Returns the running sum S after the block."""
         a = a[:, None, None]
-        if alg1_kernel or algorithm == "gt-noiseless":
-            Gb = _stack(Gs)
-            Ymean, Gmean = _agent_mean(_stack(Ys)), _agent_mean(Gb)
-        if alg1_kernel:
+        Gb = _stack(Gs)
+        Ymean, Gmean = _agent_mean(_stack(Ys)), _agent_mean(Gb)
+        if "y_mean_abs_max" in row.invariants:
             worst("y_mean_abs_max", Ymean)
+        if "mean_dynamics_resid_max" in row.invariants:
             # mean dynamics: xbar(k) = xbar(k-1) - (a_k/n) 1^T grad F(z) + mean(xi)
             xi_mean = 0.0 if Xis[0] is None else _agent_mean(_stack(Xis))
             worst("mean_dynamics_resid_max", xbar - (xbar_prev - a * Gmean + xi_mean))
-        if algorithm == "alg1-noiseless-constant":
+        if "unrolled_runsum_resid_max" in row.invariants:
             # y(k+1) = -beta * sum_{l<=k} (W - I) x(l), so the sum must
             # include the current state before predicting x(k+1); cumsum adds
             # the increments in step order, as a running sum would
@@ -370,7 +372,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
             predicted = WX - a * Gb + a * sp.beta * Ssteps
             worst("unrolled_runsum_resid_max", Xb - predicted)
             S = Ssteps[-1]
-        if algorithm == "gt-noiseless":
+        if "tracking_resid_max" in row.invariants:
             worst("tracking_resid_max", Ymean - Gmean)
         return S
 
@@ -394,8 +396,9 @@ def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
                     f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
                     f"state at iteration {k0 + i} of {T}"
                 )
-        S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
-                     _shift(xbar, xbar_b), xbar_b, S)
+        if row.invariants:
+            S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
+                         _shift(xbar, xbar_b), xbar_b, S)
         X, xbar = Xs[-1], xbar_b[-1]
     steps.close()  # frees the noise block
 

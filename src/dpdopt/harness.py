@@ -172,8 +172,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     m = take("problem.m", int, lambda v: v >= 1, "must be >= 1")
     p = take("problem.p", int, lambda v: v >= 1, "must be >= 1")
-    omega_min = take("problem.omega_min", float)
-    omega_max = take("problem.omega_max", float)
+    omega_min = take("problem.omega_min", float, np.isfinite, "must be finite")
+    omega_max = take("problem.omega_max", float, np.isfinite, "must be finite")
     if omega_min is not None and omega_max is not None and omega_min > omega_max:
         problems.append(
             f"problem.omega_min: must be <= problem.omega_max, got {omega_min} > {omega_max}"

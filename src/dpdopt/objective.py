@@ -200,8 +200,8 @@ def make_adjacent(
     """
     if not 0 <= i0 < pr.n:
         raise ProblemError(f"agent index {i0} out of range for n={pr.n}")
-    if delta < 0:
-        raise ProblemError(f"adjacency bound must be >= 0, got {delta}")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ProblemError(f"adjacency bound must be finite and >= 0, got {delta}")
     if direction is None:
         rng = substream(seed, "adjacent", i0)
         raw = rng.standard_normal(pr.p)

@@ -34,8 +34,9 @@ class ScheduleParams:
     delta: float  # adjacency bound on the L1 gradient gap, >= 0
 
     def __post_init__(self):
-        problems = []
-        if not self.gamma > 0:
+        problems = [f"{name} must be finite, got {value}"
+                    for name, value in vars(self).items() if not np.isfinite(value)]
+        if self.gamma <= 0:
             problems.append(f"gamma must be > 0, got {self.gamma}")
         if self.beta < 0:
             problems.append(f"beta must be >= 0, got {self.beta}")
@@ -45,7 +46,7 @@ class ScheduleParams:
             problems.append(f"q1 must be in (0, 1), got {self.q1}")
         if not self.q1 < self.q2 < 1.0:
             problems.append(f"q2 must be in (q1, 1), got {self.q2}")
-        if not self.epsilon > 0:
+        if self.epsilon <= 0:
             problems.append(f"epsilon must be > 0, got {self.epsilon}")
         if self.delta < 0:
             problems.append(f"delta must be >= 0, got {self.delta}")

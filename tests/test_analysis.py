@@ -20,7 +20,7 @@ from dpdopt import (
     trial_seed,
     tune,
 )
-from dpdopt import engine
+from dpdopt import analysis, engine
 from dpdopt.engine import _obs_step, _trajectory
 from dpdopt.rng import draw_rows
 
@@ -232,6 +232,14 @@ def test_accuracy_bound_structure():
         accuracy_bound(0.05, 0.95, 0.9, **kw)
     with pytest.raises(Exception):
         accuracy_bound(-0.05, 0.9, 0.95, **kw)
+    for name in ("epsilon", "delta", "mu", "L", "c1", "c2"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"must be finite, got {name}={value}"):
+                accuracy_bound(0.05, 0.9, 0.95, **{**kw, name: value})
+            with pytest.raises(ValueError, match=f"must be finite, got {name}={value}"):
+                tune(**{**kw, name: value}, restarts=1)
+    with pytest.raises(ValueError, match="must be finite, got gamma=nan"):
+        accuracy_bound(float("nan"), 0.9, 0.95, **kw)
 
 
 def test_tune_reproducible_and_not_beaten_by_probes():
@@ -249,3 +257,25 @@ def test_tune_reproducible_and_not_beaten_by_probes():
         assert val <= accuracy_bound(gg, aa, bb, **args) + 1e-15
     with pytest.raises(ValueError):
         tune(**args, restarts=0)
+
+
+def test_audit_chunks_are_bitwise_one_block(audit_setup, monkeypatch):
+    # the audit replays its trials in _chunk_size chunks; one trial per chunk
+    # gives the same envelopes, untouched-row maxima and checks bit for bit
+    pair, wm, sp = audit_setup
+    T, trials, seed = 12, 5, 6
+    whole = compare_sensitivities(pair, wm.W, sp, T, trials, seed)
+    one_whole = audit_sensitivity(pair, "dgd-true-gradient", wm.W, sp, T, trials, seed)
+    monkeypatch.setattr(analysis, "_chunk_size", lambda *args: 1)
+    chunked = compare_sensitivities(pair, wm.W, sp, T, trials, seed)
+    for alg, env in whole.envelopes.items():
+        other = chunked.envelopes[alg]
+        assert np.array_equal(other.delta_hat, env.delta_hat)
+        assert np.array_equal(other.bound, env.bound)
+        assert other.off_target_max == env.off_target_max
+        assert other.trials == env.trials == trials
+    assert chunked.ordering_gap == whole.ordering_gap
+    assert chunked.recursion_gap == whole.recursion_gap
+    one_chunked = audit_sensitivity(pair, "dgd-true-gradient", wm.W, sp, T, trials, seed)
+    assert np.array_equal(one_chunked.delta_hat, one_whole.delta_hat)
+    assert one_chunked.off_target_max == one_whole.off_target_max

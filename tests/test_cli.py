@@ -477,10 +477,15 @@ TUNE = ["tune", "--epsilon", "1", "--delta", "0.1", "--mu", "1", "--L", "2", "--
         ["spectral", "--theta", "-3"],
         ["spectral", "--theta", "-1"],  # a zero denominator
         ["spectral", "--theta", "0.5"],  # a finite bound outside theta > 1
+        ["audit", "--delta", "nan", "--format", "json"],
+        [*TUNE, "--epsilon", "nan", "--format", "json"],
+        [*TUNE, "--mu", "nan"],
+        ["compare", "--algorithms", "alg1", "--epsilon", "inf"],
     ],
     ids=["mnmi-trials", "mnmi-neighbors", "mnmi-neighbors-trials", "tune-restarts",
          "tune-n", "tune-epsilon", "audit-i0", "spectral-theta", "spectral-theta-minus-one",
-         "spectral-theta-half"],
+         "spectral-theta-half", "audit-delta-nan", "tune-epsilon-nan", "tune-mu-nan",
+         "compare-epsilon-inf"],
 )
 def test_invalid_input_exits_two(argv, main_cfg, mnmi_cfg, capsys):
     # values argparse accepts but the computation rejects end in one line
@@ -492,6 +497,34 @@ def test_invalid_input_exits_two(argv, main_cfg, mnmi_cfg, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [{"schedule.delta": "nan"}, {"schedule.beta": "nan"},
+     {"schedule.gamma": "inf", "schedule.beta": "0"}, {"schedule.epsilon": "inf"},
+     {"problem.omega_min": "nan"}, {"problem.omega_max": "inf"}],
+    ids=["delta-nan", "beta-nan", "gamma-inf", "epsilon-inf", "omega-min-nan",
+         "omega-max-inf"],
+)
+def test_non_finite_config_exits_two(edits, tmp_path, capsys):
+    # NaN passes every ordering check, so each value is checked as finite: a
+    # NaN delta would run noiseless yet print a positive spend, an infinite
+    # gamma would end as divergence and a NaN omega in a traceback
+    text = MAIN_CFG
+    for key, value in edits.items():
+        text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+                       for line in text.splitlines())
+    cfg = tmp_path / "non_finite.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli(["run", "--config", str(cfg), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key, value = next(iter(edits.items()))
+    header, violation = captured.err.splitlines()
+    assert header == "invalid config:"
+    assert key.split(".")[1] in violation
+    assert violation.endswith(f"must be finite, got {value}")
 
 
 DIVERGING_CFG = MAIN_CFG.replace("topology.n = 6", "topology.n = 10").replace(

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that read ensemble results."""
+"""Smoke runs of every demo at its default arguments."""
 
 import os
 import subprocess
@@ -11,7 +11,8 @@ import dpdopt
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 
-@pytest.mark.parametrize("script", ["noiseless_exact.py", "privacy_accuracy.py"])
+@pytest.mark.parametrize("script", sorted(name for name in os.listdir(DEMOS)
+                                           if name.endswith(".py")))
 def test_demo_exits_zero(script):
     src = os.path.dirname(os.path.dirname(dpdopt.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,10 +1,13 @@
 """Simulation engine: determinism, stream layout, metrics, and step kernels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dpdopt import (
     ALGORITHMS,
+    AUDIT_ALGORITHMS,
     DivergenceError,
     ScheduleError,
     ScheduleParams,
@@ -192,9 +195,10 @@ def test_kernel_matches_batched(setup, algorithm):
     # each observation from the documented streams, and require the engine's
     # Z, X and Y bitwise at every step
     pr, wm, sp = setup
-    noiseless = algorithm.endswith(("noiseless", "noiseless-constant"))
-    if noiseless:
+    if algorithm in engine._CONSTANT_STEP:
         sp = NOISELESS
+    # the oracle's own rule: the noiseless dynamics step with alpha = gamma
+    noiseless = algorithm.endswith(("noiseless", "noiseless-constant"))
     seed, T = 13, 7
     Xs, Ys, Zs = one_trial(pr, wm.W, sp, algorithm, T, seed)
     U = substream(seed, "noise").random((T, pr.n, pr.p))
@@ -220,19 +224,76 @@ def test_noiseless_constant_observations_are_states(setup):
         assert np.array_equal(Z[k], X[k])
 
 
+INVARIANTS = {
+    "alg1": {"y_mean_abs_max", "mean_dynamics_resid_max"},
+    "dp-dgd": set(),
+    "dgd-true-consensus": set(),
+    "dgd-true-gradient": set(),
+    "gt-noiseless": {"tracking_resid_max"},
+    "alg1-noiseless-constant": {"y_mean_abs_max", "mean_dynamics_resid_max",
+                                "unrolled_runsum_resid_max"},
+    "dgd-noiseless-constant": set(),
+}
+
+
 def test_diagnostics_keys(setup):
+    # a trace holds exactly the invariants its row names, each checked; a
+    # check that never ran (none do at T = 0) leaves no key, not a 0
     pr, wm, sp = setup
-    sp0 = ScheduleParams(gamma=0.002, beta=1.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
-    assert set(run(pr, wm.W, sp, "alg1", 3, seed=0).diagnostics) == {
-        "y_mean_abs_max",
-        "mean_dynamics_resid_max",
-    }
-    assert "tracking_resid_max" in run(pr, wm.W, sp0, "gt-noiseless", 3, seed=0).diagnostics
-    assert (
-        "unrolled_runsum_resid_max"
-        in run(pr, wm.W, sp0, "alg1-noiseless-constant", 3, seed=0).diagnostics
-    )
-    assert set(run(pr, wm.W, sp, "dp-dgd", 3, seed=0).diagnostics) == {"y_mean_abs_max"}
+    for algorithm in ALGORITHMS:
+        params = NOISELESS if algorithm in engine._CONSTANT_STEP else sp
+        assert set(engine._DYNAMICS[algorithm].invariants) == INVARIANTS[algorithm]
+        trace = run(pr, wm.W, params, algorithm, 3, seed=0)
+        assert set(trace.diagnostics) == INVARIANTS[algorithm]
+        assert run(pr, wm.W, params, algorithm, 0, seed=0).diagnostics == {}
+
+
+def test_unknown_invariant_is_absent_not_zero(setup, monkeypatch):
+    # _batched keys a diagnostic once its check has run, so an invariant a row
+    # names but _batched does not compute is missing, which fails
+    # test_diagnostics_keys, instead of sitting at 0
+    pr, wm, sp = setup
+    unknown = replace(engine._DYNAMICS["alg1"], invariants=("y_mean_abs_max", "no_such_resid"))
+    monkeypatch.setitem(engine._DYNAMICS, "alg1", unknown)
+    assert set(run(pr, wm.W, sp, "alg1", 3, seed=0).diagnostics) == {"y_mean_abs_max"}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_noisy_schedule_rejected_by_constant_rows(setup, algorithm):
+    pr, wm, sp = setup
+    if engine._DYNAMICS[algorithm].constant:
+        with pytest.raises(ScheduleError, match="needs delta = 0"):
+            run(pr, wm.W, sp, algorithm, 5, seed=0)
+    else:
+        run(pr, wm.W, sp, algorithm, 5, seed=0)
+    run(pr, wm.W, NOISELESS, algorithm, 5, seed=0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_tracking_rows_start_at_the_gradient(setup, algorithm):
+    # Y(0) = G(0) = grad F(X(0)) for a tracking row; Y(0) = 0 and no G(0)
+    # for the rest
+    pr, wm, _ = setup
+    X0, Y0, G0, Z, Xi = next(_trajectory(pr, wm.W, NOISELESS, algorithm, 3, [5, 6]))
+    assert Z is None and Xi is None
+    if engine._DYNAMICS[algorithm].tracking:
+        assert np.array_equal(G0, pr.gradients(X0))
+        assert np.array_equal(Y0, G0)
+    else:
+        assert G0 is None
+        assert not Y0.any()
+
+
+def test_derived_names_follow_the_table():
+    assert ALGORITHMS == ("alg1", "dp-dgd", "dgd-true-consensus", "dgd-true-gradient",
+                          "gt-noiseless", "alg1-noiseless-constant", "dgd-noiseless-constant")
+    rows = engine._DYNAMICS
+    assert engine._CONSTANT_STEP == frozenset(a for a in rows if rows[a].constant)
+    assert engine._CONSTANT_STEP == {"gt-noiseless", "alg1-noiseless-constant",
+                                     "dgd-noiseless-constant"}
+    assert AUDIT_ALGORITHMS == tuple(
+        a for a in rows if not (rows[a].constant or rows[a].tracking))
+    assert AUDIT_ALGORITHMS == ("alg1", "dp-dgd", "dgd-true-consensus", "dgd-true-gradient")
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -240,7 +301,7 @@ def test_diagnostics_are_per_trial(setup, algorithm, monkeypatch):
     # trial t reports its own worst invariant residual, so the chunking
     # cannot change it
     pr, wm, sp = setup
-    if algorithm.endswith(("noiseless", "noiseless-constant")):
+    if algorithm in engine._CONSTANT_STEP:
         sp = NOISELESS
     T, trials, seed = 30, 6, 3
     base = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
@@ -295,7 +356,7 @@ def test_block_reduction_is_stepwise(setup, algorithm, T, monkeypatch):
     # one step per block, three per block (10 steps end in a partial block of
     # one) and the whole run in one block all equal a step-by-step reduction
     pr, wm, sp = setup
-    if "noiseless" in algorithm:
+    if algorithm in engine._CONSTANT_STEP:
         sp = NOISELESS
     trials, seed = 3, 8
     seeds = [trial_seed(seed, t) for t in range(trials)]
@@ -306,11 +367,9 @@ def test_block_reduction_is_stepwise(setup, algorithm, T, monkeypatch):
         trace = monte_carlo(pr, wm.W, sp, algorithm, T, trials, seed)
         for want, name in zip(series, SERIES):
             assert np.array_equal(want, getattr(trace, name))
-        expected = {key: np.zeros(trials) for key in trace.diagnostics}
-        expected.update(worst)
-        assert trace.diagnostics.keys() == expected.keys()
+        assert trace.diagnostics.keys() == worst.keys()
         for key, per_trial in trace.diagnostics.items():
-            assert np.array_equal(per_trial, expected[key])
+            assert np.array_equal(per_trial, worst[key])
 
 
 def test_divergence_raises(setup, monkeypatch):
@@ -347,7 +406,7 @@ def test_divergence_raises(setup, monkeypatch):
 def test_all_algorithms_smoke(setup):
     pr, wm, sp = setup
     for alg in ALGORITHMS:
-        params = NOISELESS if alg.endswith(("noiseless", "noiseless-constant")) else sp
+        params = NOISELESS if alg in engine._CONSTANT_STEP else sp
         tr = run(pr, wm.W, params, alg, 10, seed=1)
         assert np.all(np.isfinite(tr.residual))
         assert tr.algorithm == alg

@@ -155,6 +155,9 @@ def test_make_adjacent_errors(problem10):
         make_adjacent(problem10, i0=10, delta=1.0, seed=0)
     with pytest.raises(ProblemError):
         make_adjacent(problem10, i0=0, delta=-1.0, seed=0)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ProblemError, match="must be finite"):
+            make_adjacent(problem10, i0=0, delta=delta, seed=0)
     with pytest.raises(ProblemError):
         make_adjacent(problem10, i0=0, delta=1.0, seed=0, direction=np.zeros(2))
 

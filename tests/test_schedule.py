@@ -27,6 +27,26 @@ def test_schedule_params_collects_all_problems():
         assert frag in msg
 
 
+SCHEDULE = dict(gamma=0.05, beta=10.0, q1=0.97, q2=0.99, epsilon=1.0, delta=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", list(SCHEDULE))
+def test_schedule_params_reject_non_finite(name, value):
+    # NaN fails every comparison, so each field is checked as finite on its
+    # own: a NaN delta would draw no noise while the ledger reports a spend
+    with pytest.raises(ScheduleError, match=f"{name} must be finite, got {value}"):
+        ScheduleParams(**{**SCHEDULE, name: value})
+
+
+def test_schedule_params_non_finite_collected_with_the_rest():
+    with pytest.raises(ScheduleError) as exc:
+        ScheduleParams(**{**SCHEDULE, "beta": float("nan"), "epsilon": float("inf"), "q1": 2.0})
+    msg = str(exc.value)
+    for part in ("beta must be finite", "epsilon must be finite", "q1 must be in (0, 1)"):
+        assert part in msg
+
+
 def test_schedule_params_gamma_beta_product():
     with pytest.raises(ScheduleError):
         ScheduleParams(gamma=0.5, beta=3.0, q1=0.9, q2=0.95, epsilon=1.0, delta=1.0)
