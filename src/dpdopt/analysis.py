@@ -6,7 +6,9 @@ the base run generates the shared observations (noisy states), and the
 perturbed run is replayed against that identical transcript. Under this
 coupling every agent except the perturbed one evolves bitwise identically,
 so the per-iteration L1 gap is exactly the quantity the privacy accountant
-divides by the noise scale.
+divides by the noise scale. The audit takes its checks, trial seeds and
+chunks from the engine's `_ensemble`, as the simulator does, and replays
+each chunk of the simulator's trials in turn.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (_DYNAMICS, _chunk_size, _draw_streams, _mat, _obs_step, _schedule_arrays,
-                     _trajectory, _trial_seeds)
+from .engine import _DYNAMICS, _draw_streams, _ensemble, _obs_step, _schedule_arrays, _trajectory
 from .engine import trial_seed  # noqa: F401  (perfbench/tracing.py patches it)
 from .errors import ScheduleError
 from .objective import AdjacentPair
@@ -70,17 +71,13 @@ class SensitivityEnvelope:
         return bool(np.all(self.delta_hat <= self.bound + 1e-12))
 
 
-def _audit_setup(pair: AdjacentPair, W, T: int, trials: int, seed: int):
-    """Check the audit arguments; returns the weight matrix and trial seeds."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+def _audit_setup(pair: AdjacentPair, W, sp: ScheduleParams, T: int, trials: int, seed: int):
+    """Check the audit arguments; returns the weight matrix and the trial
+    seeds in the simulator's chunks."""
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
-    Wm = _mat(W)
-    n = pair.base.n
-    if Wm.shape != (n, n):
-        raise ValueError(f"weight matrix shape {Wm.shape} does not match n={n}")
-    return Wm, _trial_seeds(seed, trials)
+    # no audited row is constant, so the engine's checks are the same for each
+    return _ensemble(pair.base, W, sp, AUDIT_ALGORITHMS[0], T, trials, seed)
 
 
 def audit_sensitivity(
@@ -103,32 +100,30 @@ def audit_sensitivity(
         raise ValueError(
             f"sensitivity audit supports {AUDIT_ALGORITHMS}, got {algorithm!r}"
         )
-    Wm, seeds = _audit_setup(pair, W, T, trials, seed)
-    return _envelopes(pair, (algorithm,), Wm, sp, T, seeds)[algorithm]
+    Wm, chunks = _audit_setup(pair, W, sp, T, trials, seed)
+    return _envelopes(pair, (algorithm,), Wm, sp, T, chunks)[algorithm]
 
 
-def _envelopes(pair, algorithms, Wm, sp, T, seeds) -> dict:
-    """The SensitivityEnvelope of each of algorithms, on checked arguments.
-    The trials replay in `_chunk_size` chunks, as the simulator runs them, each
-    chunk's streams shared by every replay; the maximum over chunks is exact."""
+def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
+    """The SensitivityEnvelope of each of algorithms over the checked chunks
+    of trial seeds `_audit_setup` returns. Each chunk's streams are drawn once
+    and shared by every replay; the maximum over chunks is exact."""
     n, p = pair.base.n, pair.base.p
-    chunk = _chunk_size(len(seeds), T, n, p)
     parts = {alg: [] for alg in algorithms}
-    for i in range(0, len(seeds), chunk):
-        piece = seeds[i : i + chunk]
-        streams = _draw_streams(piece, T, n, p, sp.delta > 0.0)
+    for seeds in chunks:
+        streams = _draw_streams(seeds, T, n, p, sp.delta > 0.0)
         for alg in algorithms:
-            parts[alg].append(_replay(pair, alg, Wm, sp, T, piece, streams))
+            parts[alg].append(_replay(pair, alg, Wm, sp, T, seeds, streams))
     alphas, _ = _schedule_arrays(sp, T)
     return {
         alg: SensitivityEnvelope(
             algorithm=alg,
-            delta_hat=np.max([delta_hat for delta_hat, _ in chunks], axis=0),
+            delta_hat=np.max([delta_hat for delta_hat, _ in replays], axis=0),
             bound=pair.delta * alphas,
-            trials=len(seeds),
-            off_target_max=max(off_target for _, off_target in chunks),
+            trials=sum(map(len, chunks)),
+            off_target_max=max(off_target for _, off_target in replays),
         )
-        for alg, chunks in parts.items()
+        for alg, replays in parts.items()
     }
 
 
@@ -202,8 +197,8 @@ def compare_sensitivities(
     alone. Those streams are drawn once per chunk of trials and shared by the
     four replays.
     """
-    Wm, seeds = _audit_setup(pair, W, T, trials, seed)
-    envelopes = _envelopes(pair, AUDIT_ALGORITHMS, Wm, sp, T, seeds)
+    Wm, chunks = _audit_setup(pair, W, sp, T, trials, seed)
+    envelopes = _envelopes(pair, AUDIT_ALGORITHMS, Wm, sp, T, chunks)
     ordering_gap = {}
     for lo, hi in _ORDERING_LEGS:
         gap = envelopes[lo].delta_hat - envelopes[hi].delta_hat

@@ -23,8 +23,11 @@ gamma, so delta = 0; the rest follow the geometric schedule), `tracking`
 (X, Y, G): Z is what went over the wire (X itself when noiseless), G the
 stacked gradient the step used and the G passed in the one the previous
 step returned. The simulator, the sensitivity audit and the attacker view
-all step through one generator, `_trajectory`, which owns the trial
-streams, the schedule, the noise draw and the kernel call.
+all lay out their ensemble through one function, `_ensemble`, which checks
+the arguments, converts W once, derives the trial seeds and splits them into
+`_chunk_size` chunks. They all step through one generator, `_trajectory`,
+which owns the trial streams, the schedule, the noise draw and the kernel
+call.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
@@ -210,23 +213,34 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
         raise ScheduleError(f"{algorithm} is a noiseless dynamic; needs delta = 0")
 
 
-def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool, x0=None):
+def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials: int,
+              seed: int):
+    """Check an ensemble of trials of one dynamic and lay it out. Returns W as
+    an array and the trial seeds, trial_seed(seed, t) for t in trial order,
+    split into `_chunk_size` chunks. The simulator, the sensitivity audit and
+    the attacker view all take their checks, seeds and chunks from here."""
+    Wm = _mat(W)
+    _validate(pr, Wm, sp, algorithm, T)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    seeds = _trial_seeds(seed, trials)
+    chunk = _chunk_size(trials, T, pr.n, pr.p)
+    return Wm, [seeds[i : i + chunk] for i in range(0, trials, chunk)]
+
+
+def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool):
     """The trial streams `_trajectory` steps through: the (trials, n, p)
     initial states and, when noisy, the (trials, T, n, p) uniform noise block
     (None otherwise).
 
-    Trial seed s owns substream(s, "init"), which draws its initial state
-    unless x0 (broadcast to every trial) is given, and substream(s,
-    "noise"), whose row k - 1 drives iteration k through
+    Trial seed s owns substream(s, "init"), which draws its initial state,
+    and substream(s, "noise"), whose row k - 1 drives iteration k through
     laplace_from_uniform.
     """
     trials = len(seeds)
     seeds = np.asarray(seeds)
-    if x0 is None:
-        X = draw_rows([(seeds, "init")], np.random.Generator.standard_normal,
-                      out=np.empty((trials, n, p)))
-    else:
-        X = np.broadcast_to(np.asarray(x0, dtype=float), (trials, n, p)).copy()
+    X = draw_rows([(seeds, "init")], np.random.Generator.standard_normal,
+                  out=np.empty((trials, n, p)))
     U = None
     if noisy:
         U = draw_rows([(seeds, "noise")], np.random.Generator.random,
@@ -234,9 +248,9 @@ def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool, x0=None):
     return X, U
 
 
-def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None, streams=None):
+def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
     """Step len(seeds) trials of one dynamic together, yielding
-    (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches.
+    (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches. W is an array.
 
     The trial streams are `_draw_streams`'s; a noiseless run (a constant
     dynamic, or delta = 0) draws no noise stream. streams, if given, is the
@@ -251,10 +265,9 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, x0=None, streams=None):
     A trial whose final state is not finite raises DivergenceError once the
     last step has been consumed.
     """
-    W = _mat(W)
     row = _DYNAMICS[algorithm]
     noisy = not row.constant and sp.delta > 0.0
-    X, U = _draw_streams(seeds, T, pr.n, pr.p, noisy, x0) if streams is None else streams
+    X, U = _draw_streams(seeds, T, pr.n, pr.p, noisy) if streams is None else streams
     alphas, nus = _schedule_arrays(sp, T, row.constant)
     G = pr.gradients(X) if row.tracking else None
     Y = np.zeros_like(X) if G is None else G
@@ -298,20 +311,19 @@ def _agent_mean(A):
     return np.add.reduce(A, axis=-2) / A.shape[-2]
 
 
-def _batched(pr, W, sp, algorithm, T, seeds, x0, xstar):
-    """Simulate len(seeds) trials at once. Returns their Trace, with each
-    trial's worst residual of each invariant as its diagnostics.
+def _batched(pr, W, sp, algorithm, T, seeds, xstar):
+    """Simulate len(seeds) trials at once; W is an array. Returns their Trace,
+    with each trial's worst residual of each invariant as its diagnostics.
 
     Steps are reduced in blocks of B, as many (trials, n, p) states as fit in
     _BLOCK_BYTES and at least one; a block of one stacks views, not copies.
     """
-    W = _mat(W)
     trials = len(seeds)
     row = _DYNAMICS[algorithm]
     alphas, _ = _schedule_arrays(sp, T, row.constant)
     # the first yield draws the trial streams; their noise block is the
     # memory peak, so it is allocated before the metric arrays below exist
-    steps = _trajectory(pr, W, sp, algorithm, T, seeds, x0)
+    steps = _trajectory(pr, W, sp, algorithm, T, seeds)
     X, *_ = next(steps)
     B = max(1, _BLOCK_BYTES // X.nbytes)
 
@@ -418,13 +430,11 @@ def run(
     algorithm: str,
     T: int,
     seed: int,
-    x0: np.ndarray | None = None,
 ) -> Trace:
     """Simulate one trial for T iterations and return its one-row Trace."""
     Wm = _mat(W)
     _validate(pr, Wm, sp, algorithm, T)
-    xstar = optimum(pr)
-    return _batched(pr, Wm, sp, algorithm, T, [seed], x0, xstar)
+    return _batched(pr, Wm, sp, algorithm, T, [seed], optimum(pr))
 
 
 def monte_carlo(
@@ -435,7 +445,6 @@ def monte_carlo(
     T: int,
     trials: int,
     seed: int,
-    x0: np.ndarray | None = None,
     jobs: int = 1,
 ) -> Trace:
     """Simulate an ensemble. Row t of the Trace reproduces
@@ -445,25 +454,17 @@ def monte_carlo(
     jobs > 1 distributes trial chunks over processes; results are identical
     to the serial path because every trial derives its own streams.
     """
-    Wm = _mat(W)
-    _validate(pr, Wm, sp, algorithm, T)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    Wm, pieces = _ensemble(pr, W, sp, algorithm, T, trials, seed)
     xstar = optimum(pr)
-    seeds = _trial_seeds(seed, trials)
-
-    chunk = _chunk_size(trials, T, pr.n, pr.p)
-    pieces = [seeds[i : i + chunk] for i in range(0, trials, chunk)]
 
     if jobs <= 1 or len(pieces) == 1:
-        return _join([_batched(pr, Wm, sp, algorithm, T, piece, x0, xstar)
-                      for piece in pieces])
+        return _join([_batched(pr, Wm, sp, algorithm, T, piece, xstar) for piece in pieces])
 
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_batched_job, (pr, Wm, sp, algorithm, T, piece, x0, xstar))
+            pool.submit(_batched_job, (pr, Wm, sp, algorithm, T, piece, xstar))
             for piece in pieces
         ]
         return _join([fut.result() for fut in futures])

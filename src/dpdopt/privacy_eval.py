@@ -12,6 +12,9 @@ Two gradient estimates are carried side by side: `verbatim` divides the
 consensus defect at k by alpha_k, and `reconstruction` uses the next
 received message z_0(k+1) in place of z_0(k), which recovers V(k) exactly
 when no noise is injected. The reconstruction is the default leakage input.
+The view takes its checks, trial seeds and chunks from the engine's
+`_ensemble`, as the simulator does, and steps each chunk through the
+simulator's trajectory generator.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .engine import _chunk_size, _mat, _schedule_arrays, _trajectory, _trial_seeds
+from .engine import _ensemble, _schedule_arrays, _trajectory
 from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
 from .objective import Problem
 from .rng import substream
@@ -93,11 +96,7 @@ def collect_attacker_view(
         )
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    Wm = _mat(W)
-    if Wm.shape != (3, 3):
-        raise ValueError(f"weight matrix shape {Wm.shape}, expected (3, 3)")
+    Wm, chunks = _ensemble(pr, W, sp, "alg1", T + 1, trials, seed)
 
     alphas, _ = _schedule_arrays(sp, T + 1)
     out = {
@@ -105,11 +104,10 @@ def collect_attacker_view(
         for name in ("V", "z0", "y0", "estimate_verbatim", "estimate_reconstruction")
     }
 
-    all_seeds = _trial_seeds(seed, trials)
-    chunk = _chunk_size(trials, T + 1, 3, 1)
-    for start in range(0, trials, chunk):
-        seeds = all_seeds[start : start + chunk]
-        sl = slice(start, start + len(seeds))
+    stop = 0
+    for seeds in chunks:
+        sl = slice(stop, stop + len(seeds))
+        stop = sl.stop
         steps = _trajectory(pr, Wm, sp, "alg1", T + 1, seeds)
         next(steps)
         zbar_prev = None

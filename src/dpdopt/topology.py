@@ -68,6 +68,8 @@ class WeightMatrix:
         object.__setattr__(self, "W", W)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise TopologyError(f"weight matrix must be square, got shape {W.shape}")
+        if not np.isfinite(W).all():
+            raise TopologyError("weight matrix has non-finite entries")
         if not np.array_equal(W, W.T):
             if np.max(np.abs(W - W.T)) > _ROWSUM_TOL:
                 raise TopologyError("weight matrix is not symmetric")

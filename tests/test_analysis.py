@@ -20,7 +20,7 @@ from dpdopt import (
     trial_seed,
     tune,
 )
-from dpdopt import analysis, engine
+from dpdopt import engine
 from dpdopt.engine import _obs_step, _trajectory
 from dpdopt.rng import draw_rows
 
@@ -80,11 +80,18 @@ def test_audit_validation(audit_setup):
     with pytest.raises(ValueError):
         audit_sensitivity(pair, "gt-noiseless", wm.W, sp, 5, 2, 0)
     with pytest.raises(ValueError):
-        audit_sensitivity(pair, "alg1", wm.W, sp, 5, 0, 0)
-    with pytest.raises(ValueError):
         audit_sensitivity(pair, "alg1", wm.W, sp, 0, 2, 0)
-    with pytest.raises(ValueError):
+    # the trial-count and weight-shape faults give the simulator's messages
+    trials = "^need at least one trial, got 0$"
+    shape = rf"^weight matrix shape \(3, 3\) does not match n={pair.base.n}$"
+    with pytest.raises(ValueError, match=trials):
+        audit_sensitivity(pair, "alg1", wm.W, sp, 5, 0, 0)
+    with pytest.raises(ValueError, match=shape):
         audit_sensitivity(pair, "alg1", np.eye(3), sp, 5, 2, 0)
+    with pytest.raises(ValueError, match=trials):
+        compare_sensitivities(pair, wm.W, sp, 5, 0, 0)
+    with pytest.raises(ValueError, match=shape):
+        compare_sensitivities(pair, np.eye(3), sp, 5, 2, 0)
 
 
 def test_compare_shares_streams_bitwise(audit_setup, monkeypatch):
@@ -260,13 +267,13 @@ def test_tune_reproducible_and_not_beaten_by_probes():
 
 
 def test_audit_chunks_are_bitwise_one_block(audit_setup, monkeypatch):
-    # the audit replays its trials in _chunk_size chunks; one trial per chunk
+    # the audit replays the simulator's _chunk_size chunks; one trial per chunk
     # gives the same envelopes, untouched-row maxima and checks bit for bit
     pair, wm, sp = audit_setup
     T, trials, seed = 12, 5, 6
     whole = compare_sensitivities(pair, wm.W, sp, T, trials, seed)
     one_whole = audit_sensitivity(pair, "dgd-true-gradient", wm.W, sp, T, trials, seed)
-    monkeypatch.setattr(analysis, "_chunk_size", lambda *args: 1)
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: 1)
     chunked = compare_sensitivities(pair, wm.W, sp, T, trials, seed)
     for alg, env in whole.envelopes.items():
         other = chunked.envelopes[alg]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dpdopt
+from dpdopt import engine
 from dpdopt.cli import cli
 
 MAIN_CFG = """\
@@ -346,6 +347,47 @@ def test_ensemble_reductions_follow_trial_order(tmp_path, capsys):
     assert curve["residual_mean"] == mean
     assert curve["final_residual_mean"] == float(finals.mean())
     assert curve["final_residual_std"] == float(finals.std())
+
+
+def ensemble_outputs(main_cfg, mnmi_cfg, where, capsys):
+    """Exit code, stdout and stderr of run, audit, mnmi and compare, and the
+    bytes of the trace, summary and attacker dataset they write to where."""
+    paths = {name: where / name for name in ("trace.csv", "summary.json", "view.csv")}
+    argvs = [
+        ["run", "--config", main_cfg, "--trace", str(paths["trace.csv"]),
+         "--summary", str(paths["summary.json"])],
+        ["audit", "--config", main_cfg, "--trials", "7", "--iterations", "6",
+         "--format", "json"],
+        ["mnmi", "--config", mnmi_cfg, "--trials", "61", "--format", "json",
+         "--dataset", str(paths["view.csv"])],
+        ["compare", "--config", main_cfg, "--algorithms", "alg1,dp-dgd",
+         "--format", "csv"],
+    ]
+    results = []
+    for argv in argvs:
+        rc = cli(argv)
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    files = {name: path.read_bytes() for name, path in paths.items()}
+    return results, files
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_outputs_do_not_depend_on_the_chunking(chunk, main_cfg, mnmi_cfg, tmp_path, capsys,
+                                                 monkeypatch):
+    # the simulator, the audit and the attacker view all take their chunks
+    # from the engine; one trial per chunk, and chunks of 2 over odd trial
+    # counts (5, 7 and 61, so the last chunk is short), give the one-chunk
+    # outputs byte for byte
+    sizes = []
+    chunk_size = engine._chunk_size
+    monkeypatch.setattr(engine, "_chunk_size",
+                        lambda *args: sizes.append(chunk_size(*args)) or sizes[-1])
+    whole = ensemble_outputs(main_cfg, mnmi_cfg, tmp_path, capsys)
+    assert sizes == [5, 7, 61, 5, 5]  # each ensemble is one chunk
+    assert [rc for rc, _, _ in whole[0]] == [0, 0, 0, 0]
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    assert ensemble_outputs(main_cfg, mnmi_cfg, tmp_path, capsys) == whole
 
 
 def test_compare_unknown_algorithm(main_cfg, capsys):

@@ -35,11 +35,11 @@ def setup(request):
     return problem10, wm, sp
 
 
-def one_trial(pr, W, sp, algorithm, T, seed, x0=None):
+def one_trial(pr, W, sp, algorithm, T, seed):
     """The engine's yields for one trial: lists of X(k), Y(k) for k = 0..T
     and of the observation Z step k consumed, for k = 1..T."""
     X, Y, Z = [], [], []
-    for Xk, Yk, _, Zk, _ in _trajectory(pr, W, sp, algorithm, T, [seed], x0):
+    for Xk, Yk, _, Zk, _ in _trajectory(pr, W, sp, algorithm, T, [seed]):
         X.append(Xk[0])
         Y.append(Yk[0])
         if Zk is not None:
@@ -158,16 +158,6 @@ def test_noise_stream_layout(setup):
     assert np.array_equal(X[0], X0)
 
 
-def test_x0_broadcast(setup):
-    pr, wm, sp = setup
-    x_row = np.linspace(-1.0, 1.0, pr.p)
-    a = run(pr, wm.W, sp, "alg1", 5, seed=2, x0=x_row)
-    b = run(pr, wm.W, sp, "alg1", 5, seed=2, x0=np.tile(x_row, (pr.n, 1)))
-    X, _, _ = one_trial(pr, wm.W, sp, "alg1", 5, 2, x0=x_row)
-    assert np.array_equal(X[0], np.tile(x_row, (pr.n, 1)))
-    assert np.array_equal(a.residual, b.residual)
-
-
 def test_zero_iterations(setup):
     pr, wm, sp = setup
     tr = run(pr, wm.W, sp, "alg1", 0, seed=0)
@@ -179,8 +169,14 @@ def test_validation_errors(setup):
     pr, wm, sp = setup
     with pytest.raises(ValueError):
         run(pr, wm.W, sp, "sgd", 5, seed=0)
-    with pytest.raises(ValueError):
+    # the audit and the attacker view give these same two messages
+    shape = r"^weight matrix shape \(4, 4\) does not match n=10$"
+    with pytest.raises(ValueError, match=shape):
         run(pr, np.eye(4), sp, "alg1", 5, seed=0)
+    with pytest.raises(ValueError, match=shape):
+        monte_carlo(pr, np.eye(4), sp, "alg1", 5, trials=2, seed=0)
+    with pytest.raises(ValueError, match="^need at least one trial, got 0$"):
+        monte_carlo(pr, wm.W, sp, "alg1", 5, trials=0, seed=0)
     with pytest.raises(ValueError):
         run(pr, wm.W, sp, "alg1", -1, seed=0)
     # constant-step noiseless dynamics refuse a noisy schedule

@@ -67,9 +67,10 @@ def test_attacker_view_validation(triangle):
         collect_attacker_view(vec, wm.W, sp, 5, 2, 0)
     with pytest.raises(ValueError):
         collect_attacker_view(pr, wm.W, sp, 0, 2, 0)
-    with pytest.raises(ValueError):
+    # the trial-count and weight-shape faults give the simulator's messages
+    with pytest.raises(ValueError, match="^need at least one trial, got 0$"):
         collect_attacker_view(pr, wm.W, sp, 5, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight matrix shape \(4, 4\) does not match n=3$"):
         collect_attacker_view(pr, np.eye(4), sp, 5, 2, 0)
 
 

@@ -146,3 +146,22 @@ def test_spectral_constants_reject_disconnected():
 def test_weight_matrix_validation(W):
     with pytest.raises(TopologyError):
         WeightMatrix(W)
+
+
+def _third_with(value, at=(0, 0)):
+    W = np.full((3, 3), 1.0 / 3.0)
+    W[at] = value
+    return W
+
+
+@pytest.mark.parametrize(
+    "W",
+    [np.full((3, 3), np.nan), _third_with(np.nan), _third_with(np.inf),
+     _third_with(-np.inf, at=(1, 1))],
+    ids=["all-nan", "one-nan", "+inf", "-inf"],
+)
+def test_weight_matrix_rejects_non_finite(W):
+    # NaN fails none of the symmetry, sign and row-sum comparisons, so the
+    # finite check is the one that must name it
+    with pytest.raises(TopologyError, match="^weight matrix has non-finite entries$"):
+        WeightMatrix(W)
