@@ -71,7 +71,7 @@ def _step_alg1(X, Y, G, Z, W, pr: Problem, a_k, beta):
     # to zero), but the beta-scaled matmul rounding would otherwise leak
     # into the mean and compound over thousands of iterations; re-project
     # onto the invariant manifold each step.
-    Ynew = Ynew - _agent_mean(Ynew)[..., None, :]
+    Ynew -= _agent_mean(Ynew)[..., None, :]
     G = pr.gradients(Z)
     return Zbar - a_k * (Ynew + G), Ynew, G
 
@@ -306,9 +306,34 @@ def _shift(first, block):
     return first[None] if len(block) == 1 else np.concatenate((first[None], block[:-1]))
 
 
+# Elements from which _agent_mean sums agents-first: below it the copy costs
+# more than the short inner loops it saves (both take ~10 us at ~1 000
+# elements; horizon's 1-trial states and stacked blocks stay below it).
+_AGENTS_FIRST_MIN = 1024
+
+
 def _agent_mean(A):
-    """A.mean(axis=-2), bitwise: numpy's mean is this sum over its count."""
-    return np.add.reduce(A, axis=-2) / A.shape[-2]
+    """A.mean(axis=-2), bitwise: numpy's mean is np.add.reduce over its count.
+
+    A is an (..., n, p) float array whose last axis is contiguous, as every
+    state, stacked block and noise slice is. numpy's reduce sums each
+    (..., column) of it left to right over the agents for p >= 2, in inner
+    loops of only p elements; for p = 1 the agent axis is the contiguous one,
+    and it sums pairwise. Arrays of _AGENTS_FIRST_MIN or more elements with
+    p >= 2 are copied agents-first instead, moving each agent's p-vector as
+    one item, and reduced over their outer axis: the same left-to-right sum,
+    in inner loops that span all leading entries. Smaller arrays and p = 1
+    keep numpy's reduce.
+    """
+    if A.size < _AGENTS_FIRST_MIN or A.shape[-1] == 1:
+        S = np.add.reduce(A, axis=-2)
+    else:
+        n, p = A.shape[-2:]
+        rows = A.view(np.dtype((np.void, A.itemsize * p)))[..., 0]
+        first = np.ascontiguousarray(np.moveaxis(rows, -1, 0)).view(A.dtype)
+        S = np.add.reduce(first.reshape(n, *A.shape[:-2], p), axis=0)
+    S /= A.shape[-2]
+    return S
 
 
 def _batched(pr, W, sp, algorithm, T, seeds, xstar):

@@ -68,6 +68,8 @@ class WeightMatrix:
         object.__setattr__(self, "W", W)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise TopologyError(f"weight matrix must be square, got shape {W.shape}")
+        if W.size == 0:
+            raise TopologyError("weight matrix needs at least one agent, got shape (0, 0)")
         if not np.isfinite(W).all():
             raise TopologyError("weight matrix has non-finite entries")
         if not np.array_equal(W, W.T):

@@ -368,6 +368,25 @@ def test_block_reduction_is_stepwise(setup, algorithm, T, monkeypatch):
             assert np.array_equal(per_trial, worst[key])
 
 
+@pytest.mark.parametrize("n", [3, 8, 9, 20, 130])
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_agent_mean_is_numpy_mean_bitwise(p, n):
+    # entries spread over 24 orders of magnitude, so any change in the order
+    # of the sum over agents changes bits; the leading shapes fall on both
+    # sides of _AGENTS_FIRST_MIN, and at p = 1 numpy sums pairwise for n >= 8
+    rng = np.random.default_rng(1000 * p + n)
+
+    def spread(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+
+    arrays = [spread(*lead, n, p) for lead in [(), (1,), (7,), (64,), (1000,), (3, 200)]]
+    U = spread(200, 4, n, p)
+    arrays.append(U[:, 2])  # one step of a (trials, T, n, p) block: strided trials
+    arrays.append(engine._stack([spread(1000, n, p)]))  # a one-state block is a view
+    for A in arrays:
+        assert engine._agent_mean(A).tobytes() == A.mean(axis=-2).tobytes()
+
+
 def test_divergence_raises(setup, monkeypatch):
     pr, wm, _ = setup
     sp = ScheduleParams(gamma=0.9, beta=1.0, q1=0.999, q2=0.9999, epsilon=1.0, delta=0.01)

@@ -69,10 +69,22 @@ def test_problem_batched_gradients(problem10):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("lead", [(), (7,), (1,)], ids=["n-p", "t-n-p", "1-n-p"])
-def test_gradients_equal_einsum_bitwise(p, lead):
+@pytest.mark.parametrize(
+    "lead, sliced",
+    [((), False), ((7,), False), ((1,), False), ((200,), False), ((3, 64), False),
+     ((200,), True)],
+    ids=["n-p", "t-n-p", "1-n-p", "200-n-p", "3-64-n-p", "slice-of-4d"],
+)
+def test_gradients_equal_einsum_bitwise(p, lead, sliced):
+    # (200,) and (3, 64) reach the p = 2 column path, which reads the strided
+    # views X[..., j]; the slice also makes X itself non-contiguous
     pr = random_problem(9, 3, p, (0.1, 1.0), seed=p)
-    X = np.random.default_rng(p).standard_normal((*lead, pr.n, p))
+    rng = np.random.default_rng(p)
+    if sliced:
+        X = rng.standard_normal((lead[0], 5, pr.n, p))[:, 2]
+        assert not X.flags.c_contiguous
+    else:
+        X = rng.standard_normal((*lead, pr.n, p))
     before = [a.copy() for a in (X, pr.hess_stack, pr.lin_stack)]
     G = pr.gradients(X)
     want = np.einsum("nij,...nj->...ni", pr.hess_stack, X) + pr.lin_stack

@@ -165,3 +165,10 @@ def test_weight_matrix_rejects_non_finite(W):
     # finite check is the one that must name it
     with pytest.raises(TopologyError, match="^weight matrix has non-finite entries$"):
         WeightMatrix(W)
+
+
+def test_weight_matrix_rejects_empty():
+    # an empty matrix passes the square and finite checks; the sign check's
+    # np.min would raise numpy's own zero-size ValueError
+    with pytest.raises(TopologyError, match=r"^weight matrix needs at least one agent"):
+        WeightMatrix(np.zeros((0, 0)))
