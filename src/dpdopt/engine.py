@@ -306,12 +306,6 @@ def _shift(first, block):
     return first[None] if len(block) == 1 else np.concatenate((first[None], block[:-1]))
 
 
-# Elements from which _agent_mean sums agents-first: below it the copy costs
-# more than the short inner loops it saves (both take ~10 us at ~1 000
-# elements; horizon's 1-trial states and stacked blocks stay below it).
-_AGENTS_FIRST_MIN = 1024
-
-
 def _agent_mean(A):
     """A.mean(axis=-2), bitwise: numpy's mean is np.add.reduce over its count.
 
@@ -319,13 +313,17 @@ def _agent_mean(A):
     state, stacked block and noise slice is. numpy's reduce sums each
     (..., column) of it left to right over the agents for p >= 2, in inner
     loops of only p elements; for p = 1 the agent axis is the contiguous one,
-    and it sums pairwise. Arrays of _AGENTS_FIRST_MIN or more elements with
-    p >= 2 are copied agents-first instead, moving each agent's p-vector as
-    one item, and reduced over their outer axis: the same left-to-right sum,
-    in inner loops that span all leading entries. Smaller arrays and p = 1
-    keep numpy's reduce.
+    and it sums pairwise. Arrays of more than _BLOCK_BYTES with p >= 2 are
+    copied agents-first instead, moving each agent's p-vector as one item,
+    and reduced over their outer axis: the same left-to-right sum, in inner
+    loops that span all leading entries. Smaller arrays and p = 1 keep
+    numpy's reduce.
     """
-    if A.size < _AGENTS_FIRST_MIN or A.shape[-1] == 1:
+    # The switch is _BLOCK_BYTES itself: a stacked block of several states
+    # fits in it and keeps numpy's reduce, and only a state too big to share
+    # a block takes the copy. The two paths cost about the same (~10 us) near
+    # 8 KB (~1 000 elements), so a budget far from that needs its own switch.
+    if A.nbytes <= _BLOCK_BYTES or A.shape[-1] == 1:
         S = np.add.reduce(A, axis=-2)
     else:
         n, p = A.shape[-2:]

@@ -25,12 +25,6 @@ __all__ = [
 ]
 
 
-# Elements of X from which Problem.gradients builds its p = 2 output column by
-# column: below it the extra ufunc calls cost more than the long loops save
-# (a 1-trial, n = 20 run took 20 % longer with columns at every size).
-_COLUMNS_MIN = 2048
-
-
 @dataclass(frozen=True)
 class QuadraticCost:
     """One agent's cost. Curvature bounds are precomputed on construction."""
@@ -117,8 +111,8 @@ class Problem:
         """Per-agent gradients, broadcast over leading axes.
 
         X has shape (..., n, p): row i is the point agent i evaluates at.
-        For p <= 2 every path adds the same products and linear term in the
-        same order, so each gives einsum's bits.
+        For p <= 2 each entry is its products and linear term added in
+        einsum's order, so it gives einsum's bits.
         """
         X = np.asarray(X, dtype=float)
         H = self.hess_stack
@@ -126,17 +120,16 @@ class Problem:
             # einsum's summation order follows its SIMD lanes and so the
             # machine; a column loop would round differently
             return np.einsum("nij,...nj->...ni", H, X) + self.lin_stack
-        if self.p == 1 or X.size < _COLUMNS_MIN:
-            # the broadcast sum skips einsum's per-call set-up; on the x86-64
-            # build it was measured on, its one product or one add per entry
-            # equals einsum bit for bit (test_gradients_equal_einsum_bitwise)
-            G = H[:, :, 0] * X[..., None, 0]
-            for j in range(1, self.p):
-                G += H[:, :, j] * X[..., None, j]
+        # these skip einsum's per-call set-up; on the x86-64 build they were
+        # measured on, one or two products and adds per entry equal einsum
+        # bit for bit (test_gradients_equal_einsum_bitwise guards it)
+        if self.p == 1:
+            G = H[:, :, 0] * X
             G += self.lin_stack
             return G
-        # the broadcast sum's inner loops run over the 2 output columns; built
-        # from the (..., n) views X[..., j], a column's run over trials and agents
+        # p = 2: each output column is built from the (..., n) views
+        # X[..., j], so numpy's inner loops run over trials and agents rather
+        # than over the 2 columns of a broadcast
         G = np.empty(X.shape)
         for k in range(2):
             g = H[:, k, 0] * X[..., 0]

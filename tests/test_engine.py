@@ -373,7 +373,7 @@ def test_block_reduction_is_stepwise(setup, algorithm, T, monkeypatch):
 def test_agent_mean_is_numpy_mean_bitwise(p, n):
     # entries spread over 24 orders of magnitude, so any change in the order
     # of the sum over agents changes bits; the leading shapes fall on both
-    # sides of _AGENTS_FIRST_MIN, and at p = 1 numpy sums pairwise for n >= 8
+    # sides of _BLOCK_BYTES, and at p = 1 numpy sums pairwise for n >= 8
     rng = np.random.default_rng(1000 * p + n)
 
     def spread(*shape):

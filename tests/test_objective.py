@@ -76,8 +76,9 @@ def test_problem_batched_gradients(problem10):
     ids=["n-p", "t-n-p", "1-n-p", "200-n-p", "3-64-n-p", "slice-of-4d"],
 )
 def test_gradients_equal_einsum_bitwise(p, lead, sliced):
-    # (200,) and (3, 64) reach the p = 2 column path, which reads the strided
-    # views X[..., j]; the slice also makes X itself non-contiguous
+    # the p = 2 column path reads the strided views X[..., j]; the larger
+    # leading shapes give it long inner loops, and the slice makes X itself
+    # non-contiguous
     pr = random_problem(9, 3, p, (0.1, 1.0), seed=p)
     rng = np.random.default_rng(p)
     if sliced:
