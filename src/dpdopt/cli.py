@@ -31,10 +31,19 @@ from .topology import spectral_constants
 __all__ = ["cli", "main"]
 
 
-def _schedule_with(cfg, epsilon=None):
-    if epsilon is None:
-        return cfg.schedule
-    return dataclasses.replace(cfg.schedule, epsilon=epsilon)
+def _inputs(args):
+    """The config, weights, problem, schedule, trial count and horizon of
+    audit, mnmi and compare, after their --epsilon, --trials and
+    --iterations overrides (each subcommand has some of them)."""
+    cfg = harness.load_config(args.config)
+    wm = harness.build_graph(cfg)
+    pr = harness.build_problem(cfg)
+    sp = cfg.schedule
+    if getattr(args, "epsilon", None) is not None:
+        sp = dataclasses.replace(sp, epsilon=args.epsilon)
+    trials = getattr(args, "trials", None) or cfg.trials
+    T = getattr(args, "iterations", None) or cfg.iterations
+    return cfg, wm, pr, sp, trials, T
 
 
 def _cmd_run(args) -> tuple[int, str]:
@@ -54,14 +63,9 @@ def _cmd_run(args) -> tuple[int, str]:
 
 
 def _cmd_audit(args) -> tuple[int, str]:
-    cfg = harness.load_config(args.config)
-    _, wm = harness.build_graph(cfg)
-    pr = harness.build_problem(cfg)
-    sp = cfg.schedule
+    cfg, wm, pr, sp, trials, T = _inputs(args)
     delta = sp.delta if args.delta is None else args.delta
     pair = make_adjacent(pr, args.i0, delta, cfg.seed)
-    trials = args.trials or cfg.trials
-    T = args.iterations or cfg.iterations
     report = analysis.compare_sensitivities(pair, wm, sp, T, trials, cfg.seed)
 
     env = report.envelopes[args.algorithm]
@@ -101,7 +105,7 @@ def _cmd_audit(args) -> tuple[int, str]:
 
 def _cmd_spectral(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
-    _, wm = harness.build_graph(cfg)
+    wm = harness.build_graph(cfg)
     sigma, w_minus_i = spectral_constants(wm)
     q1_max = analysis.q1_bound(sigma, args.theta, w_minus_i)
     block = analysis.atilde(sigma, cfg.schedule.q1, w_minus_i)
@@ -153,12 +157,7 @@ def _cmd_tune(args) -> tuple[int, str]:
 
 
 def _cmd_mnmi(args) -> tuple[int, str]:
-    cfg = harness.load_config(args.config)
-    _, wm = harness.build_graph(cfg)
-    pr = harness.build_problem(cfg)
-    sp = _schedule_with(cfg, args.epsilon)
-    trials = args.trials or cfg.trials
-    T = args.iterations or cfg.iterations
+    cfg, wm, pr, sp, trials, T = _inputs(args)
     ds = privacy_eval.collect_attacker_view(pr, wm, sp, T, trials, cfg.seed)
     report = privacy_eval.mnmi_report(
         ds, k_neighbors=args.neighbors, variant=args.variant, joint=args.joint
@@ -198,16 +197,11 @@ def _cmd_mnmi(args) -> tuple[int, str]:
 
 
 def _cmd_compare(args) -> tuple[int, str]:
-    cfg = harness.load_config(args.config)
-    _, wm = harness.build_graph(cfg)
-    pr = harness.build_problem(cfg)
-    sp = _schedule_with(cfg, args.epsilon)
-    trials = args.trials or cfg.trials
+    cfg, wm, pr, sp, trials, T = _inputs(args)
 
     curves = {}
     for alg in args.algorithms:
-        residual = monte_carlo(pr, wm, sp, alg, cfg.iterations, trials, cfg.seed,
-                               jobs=args.jobs).residual
+        residual = monte_carlo(pr, wm, sp, alg, T, trials, cfg.seed, jobs=args.jobs).residual
         finals = residual[:, -1]
         curves[alg] = (residual.mean(axis=0), float(finals.mean()), float(finals.std()))
 
@@ -222,7 +216,7 @@ def _cmd_compare(args) -> tuple[int, str]:
         }
         return 0, harness.format_json(body)
     if args.format == "csv":
-        steps = cfg.iterations + 1
+        steps = T + 1
         columns = (
             np.repeat(list(curves), steps),
             np.tile(np.arange(steps), len(curves)),
@@ -247,7 +241,8 @@ def _count(text: str) -> int:
 
 
 def _algorithms(text: str) -> list[str]:
-    """argparse type of compare --algorithms: comma-separated known dynamics."""
+    """argparse type of compare --algorithms: comma-separated known dynamics,
+    each at most once."""
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise argparse.ArgumentTypeError(f"expected at least one algorithm, got {text!r}")
@@ -256,6 +251,8 @@ def _algorithms(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown algorithm {name!r}; expected one of {ALGORITHMS}"
             )
+        if names.count(name) > 1:
+            raise argparse.ArgumentTypeError(f"algorithm {name!r} is named more than once")
     return names
 
 

@@ -1,26 +1,26 @@
 """Experiment configuration, orchestration, and machine-readable outputs.
 
-Configs are flat key = value text with dotted section prefixes:
+Configs are flat key = value text; every key not marked optional is required:
 
     topology.kind = ring            # ring | erdos-renyi
-    topology.n = 10
-    topology.p_edge = 0.35          # erdos-renyi only
-    topology.seed = 7               # erdos-renyi only
-    problem.m = 3
-    problem.p = 2
-    problem.omega_min = 0.5
-    problem.omega_max = 1.5
-    problem.seed = 11
+    topology.n = 10                 # >= 3
+    topology.p_edge = 0.35          # optional; erdos-renyi needs it, in (0, 1]
+    topology.seed = 7               # optional; erdos-renyi needs it, >= 0
+    problem.m = 3                   # >= 1
+    problem.p = 2                   # >= 1
+    problem.omega_min = 0.5         # finite, <= problem.omega_max
+    problem.omega_max = 1.5         # finite
+    problem.seed = 11               # >= 0
     schedule.gamma = 0.05
     schedule.beta = 10
     schedule.q1 = 0.97
     schedule.q2 = 0.99
     schedule.epsilon = 1
-    schedule.delta = 1
+    schedule.delta = 1              # 0 for a noiseless run.algorithm
     run.algorithm = alg1
-    run.iterations = 200
-    run.trials = 100
-    run.seed = 0
+    run.iterations = 200            # >= 1
+    run.trials = 100                # >= 1
+    run.seed = 0                    # >= 0
     output.trace = trace.csv        # optional
     output.summary = summary.json   # optional
 
@@ -36,21 +36,16 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .engine import _CONSTANT_STEP, _SERIES, ALGORITHMS, Trace, monte_carlo
 from .errors import ConfigError, ScheduleError
-from .objective import Problem, optimum, random_problem
+from .objective import Problem, random_problem
 from .schedule import ScheduleParams, privacy_spent
-from .topology import (
-    Graph,
-    WeightMatrix,
-    connected_erdos_renyi,
-    metropolis_weights,
-    ring,
-)
+from .topology import WeightMatrix, connected_erdos_renyi, metropolis_weights, ring
 
 __all__ = [
     "ExperimentConfig",
@@ -64,35 +59,6 @@ __all__ = [
     "format_json",
     "format_csv",
 ]
-
-_TOPOLOGY_KINDS = ("ring", "erdos-renyi")
-
-_REQUIRED = (
-    "topology.kind",
-    "topology.n",
-    "problem.m",
-    "problem.p",
-    "problem.omega_min",
-    "problem.omega_max",
-    "problem.seed",
-    "schedule.gamma",
-    "schedule.beta",
-    "schedule.q1",
-    "schedule.q2",
-    "schedule.epsilon",
-    "schedule.delta",
-    "run.algorithm",
-    "run.iterations",
-    "run.trials",
-    "run.seed",
-)
-
-_OPTIONAL = (
-    "topology.p_edge",
-    "topology.seed",
-    "output.trace",
-    "output.summary",
-)
 
 
 @dataclass(frozen=True)
@@ -113,6 +79,50 @@ class ExperimentConfig:
     trace_path: str | None
     summary_path: str | None
     raw: tuple  # ((key, value) pairs as parsed, for echoing into summaries
+
+
+class _Key(NamedTuple):
+    key: str
+    required: bool
+    type: type
+    check: Callable | None = None  # a parsed value it rejects is a violation
+    message: str = ""  # the violation's text, followed by ", got <value>"
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f"must be >= {low}"
+
+
+def _one_of(options):
+    return options.__contains__, f"must be one of {options}"
+
+
+# every config key, by the field its value fills: an ExperimentConfig or a
+# ScheduleParams field, or an end of ExperimentConfig.omega_range
+_KEYS = {
+    "kind": _Key("topology.kind", True, str, *_one_of(("ring", "erdos-renyi"))),
+    "n": _Key("topology.n", True, int, *_at_least(3)),
+    "p_edge": _Key("topology.p_edge", False, float, lambda v: 0.0 < v <= 1.0,
+                   "must be in (0, 1]"),
+    "topology_seed": _Key("topology.seed", False, int, *_at_least(0)),
+    "m": _Key("problem.m", True, int, *_at_least(1)),
+    "p": _Key("problem.p", True, int, *_at_least(1)),
+    "omega_min": _Key("problem.omega_min", True, float, np.isfinite, "must be finite"),
+    "omega_max": _Key("problem.omega_max", True, float, np.isfinite, "must be finite"),
+    "problem_seed": _Key("problem.seed", True, int, *_at_least(0)),
+    "gamma": _Key("schedule.gamma", True, float),
+    "beta": _Key("schedule.beta", True, float),
+    "q1": _Key("schedule.q1", True, float),
+    "q2": _Key("schedule.q2", True, float),
+    "epsilon": _Key("schedule.epsilon", True, float),
+    "delta": _Key("schedule.delta", True, float),
+    "algorithm": _Key("run.algorithm", True, str, *_one_of(ALGORITHMS)),
+    "iterations": _Key("run.iterations", True, int, *_at_least(1)),
+    "trials": _Key("run.trials", True, int, *_at_least(1)),
+    "seed": _Key("run.seed", True, int, *_at_least(0)),
+    "trace_path": _Key("output.trace", False, str),
+    "summary_path": _Key("output.summary", False, str),
+}
 
 
 def _parse_kv(text: str) -> tuple[dict, list[str]]:
@@ -136,92 +146,52 @@ def _parse_kv(text: str) -> tuple[dict, list[str]]:
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a config from its text; collects all violations."""
     pairs, problems = _parse_kv(text)
+    keys = {row.key for row in _KEYS.values()}
+    problems.extend(f"unknown key {key!r}" for key in pairs if key not in keys)
+    problems.extend(f"missing key {row.key!r}" for row in _KEYS.values()
+                    if row.required and row.key not in pairs)
 
-    known = set(_REQUIRED) | set(_OPTIONAL)
-    for key in pairs:
-        if key not in known:
-            problems.append(f"unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in pairs:
-            problems.append(f"missing key {key!r}")
-
-    def take(key, conv, check=None, explain=""):
-        if key not in pairs:
-            return None
+    # a field stays None when its key is absent or its value is rejected
+    values = dict.fromkeys(_KEYS)
+    for field, row in _KEYS.items():
+        if row.key not in pairs:
+            continue
         try:
-            value = conv(pairs[key])
+            value = row.type(pairs[row.key])
         except ValueError:
-            problems.append(f"{key}: cannot parse {pairs[key]!r} as {conv.__name__}")
-            return None
-        if check is not None and not check(value):
-            problems.append(f"{key}: {explain}, got {pairs[key]}")
-            return None
-        return value
+            problems.append(
+                f"{row.key}: cannot parse {pairs[row.key]!r} as {row.type.__name__}")
+            continue
+        if row.check is not None and not row.check(value):
+            problems.append(f"{row.key}: {row.message}, got {pairs[row.key]}")
+            continue
+        values[field] = value
 
-    kind = take("topology.kind", str, lambda s: s in _TOPOLOGY_KINDS,
-                f"must be one of {_TOPOLOGY_KINDS}")
-    n = take("topology.n", int, lambda v: v >= 3, "must be >= 3")
-    p_edge = take("topology.p_edge", float, lambda v: 0.0 < v <= 1.0,
-                  "must be in (0, 1]")
-    topo_seed = take("topology.seed", int)
-    if kind == "erdos-renyi":
-        if p_edge is None and "topology.p_edge" not in pairs:
-            problems.append("topology.p_edge: required for erdos-renyi")
-        if topo_seed is None and "topology.seed" not in pairs:
-            problems.append("topology.seed: required for erdos-renyi")
-
-    m = take("problem.m", int, lambda v: v >= 1, "must be >= 1")
-    p = take("problem.p", int, lambda v: v >= 1, "must be >= 1")
-    omega_min = take("problem.omega_min", float, np.isfinite, "must be finite")
-    omega_max = take("problem.omega_max", float, np.isfinite, "must be finite")
-    if omega_min is not None and omega_max is not None and omega_min > omega_max:
+    if values["kind"] == "erdos-renyi":
+        problems.extend(f"{_KEYS[field].key}: required for erdos-renyi"
+                        for field in ("p_edge", "topology_seed")
+                        if _KEYS[field].key not in pairs)
+    omega_range = (values.pop("omega_min"), values.pop("omega_max"))
+    if None not in omega_range and omega_range[0] > omega_range[1]:
         problems.append(
-            f"problem.omega_min: must be <= problem.omega_max, got {omega_min} > {omega_max}"
+            f"{_KEYS['omega_min'].key}: must be <= {_KEYS['omega_max'].key}, "
+            f"got {omega_range[0]} > {omega_range[1]}"
         )
-    problem_seed = take("problem.seed", int)
-
-    sched_values = {
-        name: take(f"schedule.{name}", float)
-        for name in ("gamma", "beta", "q1", "q2", "epsilon", "delta")
-    }
-    schedule = None
-    if all(v is not None for v in sched_values.values()):
+    sp = None
+    given = {field.name: values.pop(field.name) for field in fields(ScheduleParams)}
+    if None not in given.values():
         try:
-            schedule = ScheduleParams(**sched_values)
+            sp = ScheduleParams(**given)
         except ScheduleError as exc:
             problems.extend(f"schedule: {part}" for part in str(exc).split("; "))
-
-    algorithm = take("run.algorithm", str, lambda s: s in ALGORITHMS,
-                     f"must be one of {ALGORITHMS}")
-    iterations = take("run.iterations", int, lambda v: v >= 1, "must be >= 1")
-    trials = take("run.trials", int, lambda v: v >= 1, "must be >= 1")
-    seed = take("run.seed", int)
-    if algorithm in _CONSTANT_STEP and schedule is not None and schedule.delta != 0.0:
-        problems.append(
-            f"run.algorithm: {algorithm} is noiseless and needs schedule.delta = 0"
-        )
+    if values["algorithm"] in _CONSTANT_STEP and sp is not None and sp.delta != 0.0:
+        problems.append(f"{_KEYS['algorithm'].key}: {values['algorithm']} is noiseless "
+                        f"and needs {_KEYS['delta'].key} = 0")
 
     if problems:
         raise ConfigError(problems)
-
-    return ExperimentConfig(
-        kind=kind,
-        n=n,
-        p_edge=p_edge,
-        topology_seed=topo_seed,
-        m=m,
-        p=p,
-        omega_range=(omega_min, omega_max),
-        problem_seed=problem_seed,
-        schedule=schedule,
-        algorithm=algorithm,
-        iterations=iterations,
-        trials=trials,
-        seed=seed,
-        trace_path=pairs.get("output.trace"),
-        summary_path=pairs.get("output.summary"),
-        raw=tuple(sorted(pairs.items())),
-    )
+    return ExperimentConfig(**values, omega_range=omega_range, schedule=sp,
+                            raw=tuple(sorted(pairs.items())))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -233,12 +203,13 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def build_graph(cfg: ExperimentConfig) -> tuple[Graph, WeightMatrix]:
+def build_graph(cfg: ExperimentConfig) -> WeightMatrix:
+    """The Metropolis weights of the configured graph."""
     if cfg.kind == "ring":
         g = ring(cfg.n)
     else:
         g = connected_erdos_renyi(cfg.n, cfg.p_edge, cfg.topology_seed)
-    return g, metropolis_weights(g)
+    return metropolis_weights(g)
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
@@ -352,18 +323,10 @@ def run_experiment(
     Returns the summary dict. trace_path/summary_path override the config's
     output section; files are only written for paths that are set.
     """
-    _, wm = build_graph(cfg)
+    wm = build_graph(cfg)
     pr = build_problem(cfg)
-    trace = monte_carlo(
-        pr,
-        wm,
-        cfg.schedule,
-        cfg.algorithm,
-        cfg.iterations,
-        cfg.trials,
-        cfg.seed,
-        jobs=jobs,
-    )
+    trace = monte_carlo(pr, wm, cfg.schedule, cfg.algorithm, cfg.iterations, cfg.trials,
+                        cfg.seed, jobs=jobs)
     trace_csv = format_trace_csv(trace)
     summary = summarize(cfg, trace, trace_csv)
 

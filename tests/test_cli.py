@@ -296,7 +296,7 @@ def test_compare_csv_matches_rowwise_reference(main_cfg, capsys):
     ]) == 0
     out = capsys.readouterr().out
     cfg = dpdopt.load_config(main_cfg)
-    _, wm = dpdopt.build_graph(cfg)
+    wm = dpdopt.build_graph(cfg)
     pr = dpdopt.build_problem(cfg)
     rows = []
     for alg in ("alg1", "dp-dgd"):
@@ -311,7 +311,7 @@ def test_mnmi_dataset_matches_rowwise_reference(mnmi_cfg, tmp_path, capsys):
     assert cli(["mnmi", "--config", mnmi_cfg, "--dataset", str(ds_path)]) == 0
     capsys.readouterr()
     cfg = dpdopt.load_config(mnmi_cfg)
-    _, wm = dpdopt.build_graph(cfg)
+    wm = dpdopt.build_graph(cfg)
     ds = dpdopt.collect_attacker_view(dpdopt.build_problem(cfg), wm, cfg.schedule,
                                       cfg.iterations, cfg.trials, cfg.seed)
     est = ds.estimate()
@@ -327,7 +327,7 @@ def test_ensemble_reductions_follow_trial_order(tmp_path, capsys):
     path = tmp_path / "hundred.cfg"
     path.write_text(MAIN_CFG.replace("run.trials = 5", "run.trials = 100"), encoding="utf-8")
     cfg = dpdopt.load_config(str(path))
-    _, wm = dpdopt.build_graph(cfg)
+    wm = dpdopt.build_graph(cfg)
     pr = dpdopt.build_problem(cfg)
     rows = np.stack([
         dpdopt.run(pr, wm, cfg.schedule, "alg1", cfg.iterations,
@@ -394,6 +394,13 @@ def test_compare_unknown_algorithm(main_cfg, capsys):
     rc = cli(["compare", "--config", main_cfg, "--algorithms", "alg1,sgd"])
     assert rc == 2
     assert "unknown algorithm 'sgd'" in capsys.readouterr().err
+
+
+def test_compare_repeated_algorithm(main_cfg, capsys):
+    rc = cli(["compare", "--config", main_cfg, "--algorithms", "alg1,alg1,dp-dgd"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("algorithm 'alg1' is named more than once")
 
 
 def test_compare_empty_algorithm_list(main_cfg, capsys):
@@ -470,6 +477,21 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid config" in err
     assert "missing key" in err
+
+
+@pytest.mark.parametrize("command", ["run", "spectral"])
+def test_negative_seeds_exit_two(command, tmp_path, capsys):
+    bad = tmp_path / "negative.cfg"
+    bad.write_text(MAIN_CFG.replace("problem.seed = 11", "problem.seed = -3")
+                   .replace("run.seed = 0", "run.seed = -1"), encoding="utf-8")
+    assert cli([command, "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid config:",
+        "  - problem.seed: must be >= 0, got -3",
+        "  - run.seed: must be >= 0, got -1",
+    ]
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

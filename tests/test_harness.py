@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dpdopt.harness import (
     run_experiment,
     summarize,
 )
-from dpdopt import engine
+from dpdopt import engine, harness
 from dpdopt.engine import monte_carlo
 from dpdopt.objective import random_problem
 from dpdopt.schedule import privacy_spent
@@ -181,6 +183,41 @@ def test_schedule_violations_reported_individually():
     assert len(schedule_items) >= 2
 
 
+def test_negative_seeds_are_violations():
+    found = violations_of(config_text(**{
+        "topology.kind": "erdos-renyi", "topology.p_edge": "0.5", "topology.seed": "-2",
+        "problem.seed": "-3", "run.seed": "-1",
+    }))
+    assert found == [
+        "topology.seed: must be >= 0, got -2",
+        "problem.seed: must be >= 0, got -3",
+        "run.seed: must be >= 0, got -1",
+    ]
+
+
+REQUIRED_KEYS = [
+    "topology.kind", "topology.n", "problem.m", "problem.p", "problem.omega_min",
+    "problem.omega_max", "problem.seed", "schedule.gamma", "schedule.beta", "schedule.q1",
+    "schedule.q2", "schedule.epsilon", "schedule.delta", "run.algorithm",
+    "run.iterations", "run.trials", "run.seed",
+]
+
+
+def test_config_keys_declared_once_and_documented_alike():
+    table = {row.key for row in harness._KEYS.values()}
+    documented = set(re.findall(r"^    (\w+\.\w+) = ", harness.__doc__, re.MULTILINE))
+    assert documented == table
+    # the README's example config parses and uses only table keys
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        example = re.search(r"```ini\n(.*?)```", fh.read(), re.DOTALL).group(1)
+    cfg = parse_config_text(example)
+    assert {key for key, _ in cfg.raw} <= table
+    # an empty config misses exactly the required keys, each once
+    assert violations_of("") == [f"missing key {key!r}" for key in REQUIRED_KEYS]
+
+
 def test_load_config_missing_file(tmp_path):
     missing = tmp_path / "nope.cfg"
     with pytest.raises(ConfigError, match="cannot read config"):
@@ -196,8 +233,7 @@ def test_load_config_reads_file(tmp_path):
 
 def test_build_graph_ring():
     cfg = parse_config_text(config_text())
-    g, wm = build_graph(cfg)
-    assert g == ring(6)
+    wm = build_graph(cfg)
     assert np.array_equal(wm.W, metropolis_weights(ring(6)).W)
 
 
@@ -212,8 +248,8 @@ def test_build_graph_erdos_renyi_connected():
             }
         )
     )
-    g, wm = build_graph(cfg)
-    assert g.n == 10
+    wm = build_graph(cfg)
+    assert wm.n == 10
     assert wm.W.shape == (10, 10)
     assert np.allclose(wm.W.sum(axis=1), 1.0)
 
@@ -244,7 +280,7 @@ def test_content_hash_matches_direct_recompute():
 @pytest.fixture(scope="module")
 def small_run():
     cfg = parse_config_text(config_text())
-    _, wm = build_graph(cfg)
+    wm = build_graph(cfg)
     pr = build_problem(cfg)
     trace = monte_carlo(
         pr, wm, cfg.schedule, cfg.algorithm, cfg.iterations, cfg.trials, cfg.seed
@@ -289,7 +325,7 @@ def test_format_csv_cell_rule(small_run, monkeypatch):
     # the trace CSV of an ensemble run in two chunks equals the cell-by-cell
     # reference byte for byte
     cfg, _ = small_run
-    _, wm = build_graph(cfg)
+    wm = build_graph(cfg)
     pr = build_problem(cfg)
     chunks = []
     batched = engine._batched
