@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, harness, privacy_eval
 from .engine import ALGORITHMS, monte_carlo
-from .errors import DivergenceError
+from .errors import DivergenceError, ScheduleError
 from .objective import make_adjacent
 from .topology import spectral_constants
 
@@ -40,7 +40,11 @@ def _inputs(args):
     pr = harness.build_problem(cfg)
     sp = cfg.schedule
     if getattr(args, "epsilon", None) is not None:
-        sp = dataclasses.replace(sp, epsilon=args.epsilon)
+        try:
+            sp = dataclasses.replace(sp, epsilon=args.epsilon)
+        except ScheduleError as exc:
+            # the config's schedule is valid, so every violation is the flag's
+            raise ScheduleError(f"--epsilon: {exc}") from None
     trials = getattr(args, "trials", None) or cfg.trials
     T = getattr(args, "iterations", None) or cfg.iterations
     return cfg, wm, pr, sp, trials, T

@@ -21,8 +21,8 @@ Configs are flat key = value text; every key not marked optional is required:
     run.iterations = 200            # >= 1
     run.trials = 100                # >= 1
     run.seed = 0                    # >= 0
-    output.trace = trace.csv        # optional
-    output.summary = summary.json   # optional
+    output.trace = trace.csv        # optional; not empty
+    output.summary = summary.json   # optional; not empty
 
 Loading validates everything at once and reports the full list of
 violations, not just the first. Outputs are byte-deterministic functions of
@@ -120,8 +120,8 @@ _KEYS = {
     "iterations": _Key("run.iterations", True, int, *_at_least(1)),
     "trials": _Key("run.trials", True, int, *_at_least(1)),
     "seed": _Key("run.seed", True, int, *_at_least(0)),
-    "trace_path": _Key("output.trace", False, str),
-    "summary_path": _Key("output.summary", False, str),
+    "trace_path": _Key("output.trace", False, str, bool, "must not be empty"),
+    "summary_path": _Key("output.summary", False, str, bool, "must not be empty"),
 }
 
 

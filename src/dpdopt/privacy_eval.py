@@ -15,6 +15,11 @@ when no noise is injected. The reconstruction is the default leakage input.
 The view takes its checks, trial seeds and chunks from the engine's
 `_ensemble`, as the simulator does, and steps each chunk through the
 simulator's trajectory generator.
+
+scipy, whose kd-tree and digamma the estimator uses, is imported the first
+time either is needed, not with the module: importing `scipy.spatial` takes
+longer than importing the rest of the package, and only the estimator, and
+so only the `mnmi` subcommand, uses it.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .engine import _ensemble, _schedule_arrays, _trajectory
 from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
@@ -34,6 +38,10 @@ from .objective import Problem
 from .rng import substream
 from .schedule import ScheduleParams
 from .schedule import laplace_from_uniform  # noqa: F401  (perfbench/tracing.py patches it)
+
+if TYPE_CHECKING:  # bound at run time by _load_scipy
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
 
 __all__ = [
     "AttackerDataset",
@@ -44,6 +52,30 @@ __all__ = [
 ]
 
 _JITTER = 1e-10
+
+
+def _load_scipy() -> None:
+    """Bind `cKDTree` and `digamma` in this module, importing scipy once.
+
+    A name already bound keeps its value: perfbench/tracing.py and the
+    tests replace `cKDTree` with a wrapper, and every tree is built through
+    the module attribute.
+    """
+    if "cKDTree" in globals() and "digamma" in globals():
+        return
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
+    globals().setdefault("cKDTree", cKDTree)
+    globals().setdefault("digamma", digamma)
+
+
+def __getattr__(name: str):
+    # reading privacy_eval.cKDTree or privacy_eval.digamma loads scipy (PEP 562)
+    if name in ("cKDTree", "digamma"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +218,7 @@ def _marginal_counts(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     rounding, and a short fix-up re-testing the predicate settles its ends.
     """
     if a.shape[1] != 1:
+        _load_scipy()
         return cKDTree(a).query_ball_point(a, r, p=np.inf, return_length=True)
     a = a[:, 0]
     s = np.sort(a)
@@ -225,6 +258,7 @@ def _knn_radius(s: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
         rows = rows[~settled]
         if not len(rows):
             return radius
+    _load_scipy()
     joint = np.column_stack([s, t])
     radius[rows] = cKDTree(joint).query(joint[rows], k=k + 1, p=np.inf)[0][:, k]
     return radius
@@ -259,6 +293,7 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("samples must be finite")
+    _load_scipy()
 
     jx, jy = _jitter(xs.shape, ys.shape)
     xs = xs + jx

@@ -563,6 +563,20 @@ def test_invalid_input_exits_two(argv, main_cfg, mnmi_cfg, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["mnmi", "compare"])
+def test_invalid_epsilon_override_names_the_flag(command, value, main_cfg, mnmi_cfg, capsys):
+    argv = [command, "--config", mnmi_cfg if command == "mnmi" else main_cfg,
+            "--epsilon", value]
+    if command == "compare":
+        argv += ["--algorithms", "alg1"]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("--epsilon: epsilon must be ")
+
+
 @pytest.mark.parametrize(
     "edits",
     [{"schedule.delta": "nan"}, {"schedule.beta": "nan"},
@@ -629,3 +643,49 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: dpdopt")
+
+
+STARTUP_SCRIPT = """\
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import dpdopt
+from dpdopt.cli import cli
+
+main_cfg, mnmi_cfg = sys.argv[1:]
+steps = [("import", None, scipy_modules())]
+for argv in (
+    ["run", "--config", main_cfg, "--format", "json"],
+    ["audit", "--config", main_cfg, "--trials", "5", "--iterations", "5", "--format", "json"],
+    ["compare", "--config", main_cfg, "--algorithms", "alg1,dp-dgd", "--format", "json"],
+    ["spectral", "--config", main_cfg, "--format", "json"],
+    ["tune", "--epsilon", "1", "--delta", "1", "--mu", "0.5", "--L", "1.5", "--n", "6",
+     "--p", "2", "--restarts", "1", "--format", "json"],
+    ["mnmi", "--config", mnmi_cfg, "--format", "json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli(argv)
+    steps.append((argv[0], status, scipy_modules()))
+print(json.dumps(steps))
+"""
+
+
+def test_only_mnmi_imports_scipy(main_cfg, mnmi_cfg):
+    # a fresh interpreter: other test modules import scipy into this one
+    src = os.path.dirname(os.path.dirname(dpdopt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, main_cfg, mnmi_cfg],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert [step[:2] for step in steps] == [
+        ["import", None], ["run", 0], ["audit", 0], ["compare", 0], ["spectral", 0],
+        ["tune", 0], ["mnmi", 0],
+    ]
+    for name, _, loaded in steps[:-1]:
+        assert loaded == [], f"{name} imported {loaded[:3]}"
+    assert {"scipy.spatial", "scipy.special"} <= set(steps[-1][2])

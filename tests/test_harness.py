@@ -195,6 +195,15 @@ def test_negative_seeds_are_violations():
     ]
 
 
+def test_empty_output_paths_are_violations():
+    # an empty path used to pass the loader and write no file
+    found = violations_of(config_text(**{"output.trace": "", "output.summary": ""}))
+    assert found == [
+        "output.trace: must not be empty, got ",
+        "output.summary: must not be empty, got ",
+    ]
+
+
 REQUIRED_KEYS = [
     "topology.kind", "topology.n", "problem.m", "problem.p", "problem.omega_min",
     "problem.omega_max", "problem.seed", "schedule.gamma", "schedule.beta", "schedule.q1",
