@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
 
 from . import analysis, harness, privacy_eval
 from .engine import ALGORITHMS, monte_carlo
-from .errors import DivergenceError, ScheduleError
+from .errors import DivergenceError, ProblemError, ScheduleError
 from .objective import make_adjacent
 from .topology import spectral_constants
 
@@ -51,6 +52,9 @@ def _inputs(args):
 
 
 def _cmd_run(args) -> tuple[int, str]:
+    for flag, path in (("--trace", args.trace), ("--summary", args.summary)):
+        if path == "":
+            raise ValueError(f"{flag}: must not be empty")
     cfg = harness.load_config(args.config)
     summary = harness.run_experiment(
         cfg, jobs=args.jobs, trace_path=args.trace, summary_path=args.summary
@@ -69,7 +73,12 @@ def _cmd_run(args) -> tuple[int, str]:
 def _cmd_audit(args) -> tuple[int, str]:
     cfg, wm, pr, sp, trials, T = _inputs(args)
     delta = sp.delta if args.delta is None else args.delta
-    pair = make_adjacent(pr, args.i0, delta, cfg.seed)
+    try:
+        pair = make_adjacent(pr, args.i0, delta, cfg.seed)
+    except ProblemError as exc:
+        # the config's delta is valid, so the rejected value is a flag's
+        flag = "--delta" if 0 <= args.i0 < pr.n else "--i0"
+        raise ProblemError(f"{flag}: {exc}") from None
     report = analysis.compare_sensitivities(pair, wm, sp, T, trials, cfg.seed)
 
     env = report.envelopes[args.algorithm]
@@ -111,7 +120,10 @@ def _cmd_spectral(args) -> tuple[int, str]:
     cfg = harness.load_config(args.config)
     wm = harness.build_graph(cfg)
     sigma, w_minus_i = spectral_constants(wm)
-    q1_max = analysis.q1_bound(sigma, args.theta, w_minus_i)
+    try:
+        q1_max = analysis.q1_bound(sigma, args.theta, w_minus_i)
+    except ValueError as exc:
+        raise ValueError(f"--theta: {exc}") from None
     block = analysis.atilde(sigma, cfg.schedule.q1, w_minus_i)
     contractive = analysis.rho_less_than(block, 1.0)
     rho = float(np.max(np.abs(np.linalg.eigvals(block))))
@@ -136,7 +148,21 @@ def _cmd_spectral(args) -> tuple[int, str]:
     )
 
 
+# each tune flag sets the analysis.tune argument of its name; checked here, so
+# that a rejected value is reported under its flag
+_TUNE_RULES = (
+    (("epsilon", "mu", "L"), lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+    (("delta", "c1", "c2"), lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
+    (("n", "p", "restarts"), lambda v: v >= 1, "must be >= 1"),
+)
+
+
 def _cmd_tune(args) -> tuple[int, str]:
+    for names, ok, rule in _TUNE_RULES:
+        for name in names:
+            value = getattr(args, name)
+            if not ok(value):
+                raise ValueError(f"--{name}: {name} {rule}, got {value}")
     gamma, q1, q2, bound = analysis.tune(
         args.epsilon,
         args.delta,
@@ -162,6 +188,9 @@ def _cmd_tune(args) -> tuple[int, str]:
 
 def _cmd_mnmi(args) -> tuple[int, str]:
     cfg, wm, pr, sp, trials, T = _inputs(args)
+    if not 1 <= args.neighbors <= trials - 1:
+        raise ValueError(f"--neighbors: k_neighbors must be in [1, {trials - 1}], "
+                         f"got {args.neighbors}")
     ds = privacy_eval.collect_attacker_view(pr, wm, sp, T, trials, cfg.seed)
     report = privacy_eval.mnmi_report(
         ds, k_neighbors=args.neighbors, variant=args.variant, joint=args.joint
@@ -260,6 +289,10 @@ def _algorithms(text: str) -> list[str]:
     return names
 
 
+_JOBS_HELP = ("processes to split the trials over, the calling one included; "
+             "the output is the same for every N")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpdopt",
@@ -273,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--jobs", type=_count, default=1, metavar="N", help=_JOBS_HELP)
     p.add_argument("--trace", help="override output.trace")
     p.add_argument("--summary", help="override output.summary")
     fmt(p, choices=("json",))
@@ -332,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tags, e.g. alg1,dp-dgd")
     p.add_argument("--epsilon", type=float, help="override schedule.epsilon")
     p.add_argument("--trials", type=_count)
-    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--jobs", type=_count, default=1, metavar="N", help=_JOBS_HELP)
     p.add_argument("--out", help="write output here instead of stdout")
     fmt(p)
     p.set_defaults(func=_cmd_compare)

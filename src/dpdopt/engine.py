@@ -25,23 +25,26 @@ stacked gradient the step used and the G passed in the one the previous
 step returned. The simulator, the sensitivity audit and the attacker view
 all lay out their ensemble through one function, `_ensemble`, which checks
 the arguments, converts W once, derives the trial seeds and splits them into
-`_chunk_size` chunks. They all step through one generator, `_trajectory`,
-which owns the trial streams, the schedule, the noise draw and the kernel
-call.
+`_chunk_size` chunks, and the simulator's chunks further into pieces, one per
+job. They all step through one generator, `_trajectory`, which owns the trial
+streams, the schedule, the noise draw and the kernel call.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
 computes the four trace metrics and every invariant diagnostic of the block
 with one reduction each, bitwise equal to reducing step by step. The first
 block that holds a non-finite state ends the run with a DivergenceError that
-names the trial and the iteration. Each chunk of trials gives one trial-major
-Trace, and `monte_carlo` joins the chunks along the trial axis.
+names the trial and the iteration. `monte_carlo` runs each piece of trials
+through `_piece`: the calling process runs the first, and with jobs > 1 a
+process pool runs the others, one whole piece per task. A piece gives one
+trial-major Trace, rendered in the piece's own process when the caller asks,
+and `monte_carlo` joins the pieces along the trial axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable
 
 import numpy as np
@@ -162,7 +165,9 @@ class Trace:
     C-contiguous (trials, T + 1) array is trial t, and column 0 its initial
     state (step_norm[:, 0] is defined as 0). diagnostics maps each invariant
     of the dynamic's row to a (trials,) array of its worst residual per trial,
-    none when T = 0. Traces compare by identity; compare their arrays."""
+    none when T = 0. rendered holds what monte_carlo's render made of the
+    trials, empty without one. Traces compare by identity; compare their
+    arrays."""
 
     algorithm: str
     iterations: int
@@ -172,6 +177,7 @@ class Trace:
     step_norm: np.ndarray  # ||X(k) - X(k-1)||_F^2
     xstar: np.ndarray
     diagnostics: dict
+    rendered: str = ""
 
     def __len__(self) -> int:
         return len(self.residual)
@@ -188,7 +194,8 @@ def _join(parts: list[Trace]) -> Trace:
               for name in _SERIES}
     diagnostics = {key: np.concatenate([part.diagnostics[key] for part in parts])
                    for key in parts[0].diagnostics}
-    return replace(parts[0], **joined, diagnostics=diagnostics)
+    rendered = "".join(part.rendered for part in parts)
+    return replace(parts[0], **joined, diagnostics=diagnostics, rendered=rendered)
 
 
 def trial_seed(seed: int, t: int) -> int:
@@ -213,19 +220,33 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
         raise ScheduleError(f"{algorithm} is a noiseless dynamic; needs delta = 0")
 
 
+def _split(items: list, count: int) -> list:
+    """items in min(count, len(items)) contiguous pieces of near-equal length,
+    the longer ones first."""
+    count = min(count, len(items))
+    size, extra = divmod(len(items), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials: int,
-              seed: int):
+              seed: int, pieces: int = 1):
     """Check an ensemble of trials of one dynamic and lay it out. Returns W as
     an array and the trial seeds, trial_seed(seed, t) for t in trial order,
-    split into `_chunk_size` chunks. The simulator, the sensitivity audit and
-    the attacker view all take their checks, seeds and chunks from here."""
+    split into `_chunk_size` chunks, and each chunk into near-equal pieces, as
+    many as its share of `pieces` rounded up (or one per trial, when it holds
+    fewer): min(pieces, trials) pieces at least, none longer than a chunk.
+    The simulator, the sensitivity audit and the attacker view all take their
+    checks, seeds and chunks from here."""
     Wm = _mat(W)
     _validate(pr, Wm, sp, algorithm, T)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     seeds = _trial_seeds(seed, trials)
     chunk = _chunk_size(trials, T, pr.n, pr.p)
-    return Wm, [seeds[i : i + chunk] for i in range(0, trials, chunk)]
+    chunks = [seeds[i : i + chunk] for i in range(0, trials, chunk)]
+    return Wm, [piece for part in chunks
+                for piece in _split(part, -(-pieces * len(part) // trials))]
 
 
 def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool):
@@ -429,7 +450,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar):
                 i, t = divmod(int(np.argmax(bad)), trials)
                 raise DivergenceError(
                     f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
-                    f"state at iteration {k0 + i} of {T}"
+                    f"state at iteration {k0 + i} of {T}", iteration=k0 + i, trial=t
                 )
         if row.invariants:
             S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
@@ -440,10 +461,22 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar):
     return Trace(algorithm, T, residual, consensus, mean_err, step_norm, xstar, worst_seen)
 
 
-def _batched_job(args):
-    # picklable pool entry point; resolves the module global in the worker so
-    # an instrumented _batched (e.g. under test) stays in effect there too
-    return _batched(*args)
+def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err):
+    """Simulate one piece of an ensemble, the trials from index start on, under
+    the numpy error settings err, and set its rendered to render(trace, start)
+    when render is given. A pool worker runs a whole piece. _batched is read
+    from the module globals there too, so a wrapped _batched stays in effect.
+    A diverging piece returns its DivergenceError, its trial made an ensemble
+    index, for monte_carlo to choose the ensemble's first."""
+    with np.errstate(**err):
+        try:
+            trace = _batched(pr, W, sp, algorithm, T, seeds, xstar)
+        except DivergenceError as exc:
+            exc.trial += start
+            return exc
+        if render is not None:
+            trace.rendered = render(trace, start)
+    return trace
 
 
 def run(
@@ -469,25 +502,44 @@ def monte_carlo(
     trials: int,
     seed: int,
     jobs: int = 1,
+    render: Callable | None = None,
 ) -> Trace:
     """Simulate an ensemble. Row t of the Trace reproduces
     run(..., seed=trial_seed(seed, t)) exactly, whatever the chunking or job
     count.
 
-    jobs > 1 distributes trial chunks over processes; results are identical
-    to the serial path because every trial derives its own streams.
+    The trials run in contiguous pieces, at least min(jobs, trials) of them
+    and none longer than a `_chunk_size` chunk. The calling process runs the
+    first piece; with jobs > 1 a process pool of at most jobs - 1 workers,
+    and no more than there are other pieces, runs the others and is shut
+    down before the call returns. Every trial derives its own streams, so
+    the result does not depend on the pieces. render, a picklable function
+    of (piece's Trace, index of its first trial), runs on each piece in the
+    process that simulated it; the returned Trace's rendered joins its
+    results in trial order. A diverging ensemble raises the DivergenceError
+    of its earliest non-finite iteration, lowest trial first, as one batch
+    would.
     """
-    Wm, pieces = _ensemble(pr, W, sp, algorithm, T, trials, seed)
+    Wm, pieces = _ensemble(pr, W, sp, algorithm, T, trials, seed, pieces=jobs)
     xstar = optimum(pr)
+    err = np.geterr()
+    tasks = [(pr, Wm, sp, algorithm, T, piece, xstar, start, render, err)
+             for piece, start in zip(pieces, accumulate(map(len, pieces), initial=0))]
 
-    if jobs <= 1 or len(pieces) == 1:
-        return _join([_batched(pr, Wm, sp, algorithm, T, piece, xstar) for piece in pieces])
+    workers = min(jobs, len(tasks)) - 1
+    if workers < 1:
+        parts = [_piece(*task) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(_piece, *task) for task in tasks[1:]]
+            parts = [_piece(*tasks[0]), *(future.result() for future in futures)]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_batched_job, (pr, Wm, sp, algorithm, T, piece, xstar))
-            for piece in pieces
-        ]
-        return _join([fut.result() for fut in futures])
+    diverged = [part for part in parts if isinstance(part, DivergenceError)]
+    if diverged:
+        raise min(diverged, key=lambda exc: (exc.iteration, exc.trial))
+    return _join(parts)

@@ -28,4 +28,12 @@ class ConfigError(ValueError):
 
 class DivergenceError(ArithmeticError):
     """Raised when a simulated state leaves the finite floats. Not a
-    ValueError: the input was valid and the dynamic itself diverged."""
+    ValueError: the input was valid and the dynamic itself diverged.
+
+    iteration and trial, when the simulator sets them, place the first
+    non-finite state: its iteration and the trial's index in the ensemble."""
+
+    def __init__(self, message, iteration=None, trial=None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.trial = trial

@@ -262,17 +262,20 @@ def format_csv(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_trace_csv(trace: Trace) -> str:
-    """The trace CSV: one row per (trial, k), trial-major."""
+def format_trace_csv(trace: Trace, start: int = 0) -> str:
+    """The trace CSV: one row per (trial, k), trial-major. Rows number the
+    trials from start, and only start = 0 gives the header line, so the texts
+    of consecutive pieces of an ensemble join into the CSV of the whole."""
     trials, steps = trace.residual.shape
-    return format_csv(
+    text = format_csv(
         ("trial", "k", *_SERIES),
         (
-            np.repeat(np.arange(trials), steps),
+            np.repeat(np.arange(start, start + trials), steps),
             np.tile(np.arange(steps), trials),
             *(getattr(trace, name).ravel() for name in _SERIES),
         ),
     )
+    return text if start == 0 else text.partition("\n")[2]
 
 
 def summarize(cfg: ExperimentConfig, trace: Trace, trace_csv: str) -> dict:
@@ -320,18 +323,20 @@ def run_experiment(
 ) -> dict:
     """Run the configured ensemble and write the artifacts.
 
-    Returns the summary dict. trace_path/summary_path override the config's
-    output section; files are only written for paths that are set.
+    Returns the summary dict. trace_path/summary_path, when not None, override
+    the config's output section; files are only written for paths that are
+    set and not empty. Each of the jobs processes renders the trace CSV rows
+    of the trials it simulates.
     """
     wm = build_graph(cfg)
     pr = build_problem(cfg)
     trace = monte_carlo(pr, wm, cfg.schedule, cfg.algorithm, cfg.iterations, cfg.trials,
-                        cfg.seed, jobs=jobs)
-    trace_csv = format_trace_csv(trace)
+                        cfg.seed, jobs=jobs, render=format_trace_csv)
+    trace_csv = trace.rendered
     summary = summarize(cfg, trace, trace_csv)
 
-    trace_path = trace_path or cfg.trace_path
-    summary_path = summary_path or cfg.summary_path
+    trace_path = cfg.trace_path if trace_path is None else trace_path
+    summary_path = cfg.summary_path if summary_path is None else summary_path
     if trace_path:
         _write(trace_path, trace_csv)
     if summary_path:

@@ -8,6 +8,8 @@ enforces the bound on every run launched by any test in the suite, not just
 the ones that think to ask.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,35 @@ def invariant_gate():
     engine._batched = gated
     yield
     engine._batched = orig
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands a pool in for concurrent.futures.ProcessPoolExecutor that runs
+    each task in this process as it is submitted, so no worker process
+    starts. Returns the pools made in the test, in order, each with its
+    max_workers, its task count and whether it was shut down."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks, self.shut = max_workers, 0, False
+            pools.append(self)
+
+        def submit(self, fn, *args):
+            self.tasks += 1
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shut = True
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools
 
 
 @pytest.fixture(scope="session")

@@ -390,6 +390,73 @@ def test_outputs_do_not_depend_on_the_chunking(chunk, main_cfg, mnmi_cfg, tmp_pa
     assert ensemble_outputs(main_cfg, mnmi_cfg, tmp_path, capsys) == whole
 
 
+def with_values(text, values):
+    """Config text with the `key = value` line of each key in values set to
+    its value."""
+    for key, value in values.items():
+        text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+                       for line in text.splitlines())
+    return text
+
+
+def jobs_outputs(cfg, algorithm, where, capfd):
+    """Exit code, stdout and stderr of run and compare for --jobs 1, 2 and 3,
+    with the trace and summary run writes. capfd also sees what pool workers
+    print."""
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        trace, summary = where / f"trace{jobs}.csv", where / f"summary{jobs}.json"
+        result = []
+        for argv in (["run", "--trace", str(trace), "--summary", str(summary)],
+                     ["compare", "--algorithms", algorithm, "--format", "json"]):
+            rc = cli([argv[0], "--config", cfg, "--jobs", jobs, *argv[1:]])
+            captured = capfd.readouterr()
+            result.append((rc, captured.out, captured.err))
+        outputs.append((result, trace.read_bytes(), summary.read_bytes()))
+    return outputs
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("algorithm", ["alg1", "gt-noiseless"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_outputs_do_not_depend_on_the_jobs(p, algorithm, chunk, tmp_path, capfd, monkeypatch):
+    # the trials split over 1, 2 or 3 processes, with fewer trials than jobs
+    # and with a short last piece (7 trials), and again inside chunks of 2,
+    # give the one-process outputs byte for byte
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    # the noiseless dynamic at the engine tests' NOISELESS schedule
+    schedule = ({"schedule.gamma": 0.002, "schedule.beta": 500, "schedule.delta": 0}
+                if algorithm in engine._CONSTANT_STEP else {})
+    for trials in (1, 2, 7):
+        cfg = tmp_path / f"jobs{trials}.cfg"
+        values = {"problem.p": p, "run.trials": trials, "run.algorithm": algorithm, **schedule}
+        cfg.write_text(with_values(MAIN_CFG, values), encoding="utf-8")
+        one, *more = jobs_outputs(str(cfg), algorithm, tmp_path, capfd)
+        assert [rc for rc, _, _ in one[0]] == [0, 0]
+        assert more == [one, one]
+
+
+@pytest.mark.parametrize(
+    "jobs,trials,width",
+    [(1, 5, None), (2, 5, 1), (3, 2, 1), (64, 3, 2)],
+    ids=["one-job", "one-chunk-two-jobs", "more-jobs-than-trials", "jobs-64-trials-3"],
+)
+def test_pool_width(jobs, trials, width, tmp_path, capsys, inline_pool):
+    # a one-chunk run with --jobs > 1 hands every piece but the caller's to
+    # the pool, so --jobs always takes effect; the pool starts no more
+    # workers than there are such pieces
+    cfg = tmp_path / "width.cfg"
+    cfg.write_text(with_values(MAIN_CFG, {"run.trials": trials}), encoding="utf-8")
+    argv = ["run", "--config", str(cfg), "--format", "json"]
+    assert cli(argv) == 0
+    serial = capsys.readouterr().out
+    assert cli([*argv, "--jobs", str(jobs)]) == 0
+    assert capsys.readouterr().out == serial
+    expected = [] if width is None else [(width, min(jobs, trials) - 1, True)]
+    assert [(pool.max_workers, pool.tasks, pool.shut) for pool in inline_pool] == expected
+
+
 def test_compare_unknown_algorithm(main_cfg, capsys):
     rc = cli(["compare", "--config", main_cfg, "--algorithms", "alg1,sgd"])
     assert rc == 2
@@ -589,12 +656,8 @@ def test_non_finite_config_exits_two(edits, tmp_path, capsys):
     # NaN passes every ordering check, so each value is checked as finite: a
     # NaN delta would run noiseless yet print a positive spend, an infinite
     # gamma would end as divergence and a NaN omega in a traceback
-    text = MAIN_CFG
-    for key, value in edits.items():
-        text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
-                       for line in text.splitlines())
     cfg = tmp_path / "non_finite.cfg"
-    cfg.write_text(text, encoding="utf-8")
+    cfg.write_text(with_values(MAIN_CFG, edits), encoding="utf-8")
     assert cli(["run", "--config", str(cfg), "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -632,6 +695,62 @@ def test_divergence_exits_four(argv, tmp_path, capsys):
     if argv[0] != "audit":
         assert " has a non-finite state at iteration " in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_divergence_line_does_not_depend_on_the_jobs(tmp_path, capfd, monkeypatch):
+    # at run.seed = 9 trial 3 is the first to leave the finite floats (at
+    # iteration 261) and trial 0 follows a step later, so a piece that starts
+    # at trial 0 diverges later than another piece; every split names the
+    # first non-finite iteration and its lowest trial, as one batch does
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(with_values(DIVERGING_CFG, {"run.seed": 9}), encoding="utf-8")
+    argv = ["run", "--config", str(cfg)]
+    assert cli(argv) == 4
+    one_batch = capfd.readouterr()
+    assert one_batch.err.startswith(f"alg1 diverged: trial seed {dpdopt.trial_seed(9, 3)} ")
+    for chunk in (None, 1):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+        for jobs in ("1", "2", "3"):
+            assert cli([*argv, "--jobs", jobs]) == 4
+            assert capfd.readouterr() == one_batch
+
+
+def test_empty_output_flag_exits_two(tmp_path, capsys):
+    # an empty --trace or --summary is rejected, not replaced by the config's
+    # output path
+    written = {key: tmp_path / f"from_config.{key}" for key in ("trace", "summary")}
+    cfg = tmp_path / "outputs.cfg"
+    cfg.write_text(MAIN_CFG + "".join(f"output.{key} = {path}\n"
+                                      for key, path in written.items()), encoding="utf-8")
+    for flag in ("--trace", "--summary"):
+        assert cli(["run", "--config", str(cfg), flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{flag}: must not be empty\n")
+    assert not any(path.exists() for path in written.values())
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["audit", "--delta", "-1"], "--delta: adjacency bound must be finite and >= 0, got -1.0"),
+        (["audit", "--i0", "99"], "--i0: agent index 99 out of range for n=6"),
+        (["mnmi", "--neighbors", "0"], "--neighbors: k_neighbors must be in [1, 59], got 0"),
+        (["spectral", "--theta", "-3"], "--theta: theta must be > 1, got -3"),
+        ([*TUNE, "--epsilon", "-1"], "--epsilon: epsilon must be finite and > 0, got -1.0"),
+        ([*TUNE, "--mu", "nan"], "--mu: mu must be finite and > 0, got nan"),
+        ([*TUNE, "--c2", "-0.5"], "--c2: c2 must be finite and >= 0, got -0.5"),
+        ([*TUNE, "--restarts", "0"], "--restarts: restarts must be >= 1, got 0"),
+    ],
+    ids=["audit-delta", "audit-i0", "mnmi-neighbors", "spectral-theta", "tune-epsilon",
+         "tune-mu-nan", "tune-c2", "tune-restarts"],
+)
+def test_rejected_flag_value_names_the_flag(argv, message, main_cfg, mnmi_cfg, capsys):
+    if argv[0] != "tune":
+        argv = [argv[0], "--config", mnmi_cfg if argv[0] == "mnmi" else main_cfg, *argv[1:]]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
 
 
 def test_python_dash_m_entry_point():

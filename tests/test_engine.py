@@ -121,6 +121,43 @@ def test_monte_carlo_jobs_and_chunks(setup, monkeypatch):
         assert_same_trace(base, alt)
 
 
+@pytest.mark.parametrize(
+    "trials,chunk,jobs",
+    [(7, 7, 1), (7, 7, 3), (7, 2, 3), (7, 4, 3), (3, 3, 64), (6, 4, 1), (10, 4, 2)],
+)
+def test_ensemble_pieces(setup, monkeypatch, trials, chunk, jobs):
+    # the trials in order, in at least min(jobs, trials) pieces; each piece
+    # lies inside one chunk, and a chunk's pieces differ in length by at most
+    # one; one job gives the chunks themselves
+    pr, wm, sp = setup
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    _, pieces = engine._ensemble(pr, wm.W, sp, "alg1", 5, trials, 3, pieces=jobs)
+    assert [s for piece in pieces for s in piece] == [trial_seed(3, t) for t in range(trials)]
+    assert len(pieces) >= min(jobs, trials)
+    lengths = {}
+    start = 0
+    for piece in pieces:
+        assert start // chunk == (start + len(piece) - 1) // chunk
+        lengths.setdefault(start // chunk, set()).add(len(piece))
+        start += len(piece)
+    assert all(max(found) - min(found) <= 1 for found in lengths.values())
+    if jobs == 1:
+        assert [len(piece) for piece in pieces] == [
+            min(chunk, trials - t) for t in range(0, trials, chunk)]
+
+
+def test_pool_shuts_down_when_a_piece_raises(setup, monkeypatch, inline_pool):
+    pr, wm, sp = setup
+
+    def failing(*args):
+        raise MemoryError("no room for the noise block")
+
+    monkeypatch.setattr(engine, "_batched", failing)
+    with pytest.raises(MemoryError):
+        monte_carlo(pr, wm.W, sp, "alg1", 5, trials=4, seed=3, jobs=2)
+    assert [(pool.max_workers, pool.tasks, pool.shut) for pool in inline_pool] == [(1, 1, True)]
+
+
 def test_trace_metric_definitions(setup):
     pr, wm, sp = setup
     tr = run(pr, wm.W, sp, "alg1", 8, seed=1)

@@ -393,6 +393,12 @@ def test_run_experiment_config_paths_and_overrides(tmp_path):
     # explicit arguments win over the config's output section
     run_experiment(cfg, trace_path=str(tmp_path / "arg.csv"))
     assert (tmp_path / "arg.csv").exists()
+    # an empty one too: it writes nothing, and does not fall back to the config
+    for name in ("from_config.csv", "from_config.json"):
+        (tmp_path / name).unlink()
+    run_experiment(cfg, trace_path="", summary_path="")
+    assert not (tmp_path / "from_config.csv").exists()
+    assert not (tmp_path / "from_config.json").exists()
 
 
 def test_run_experiment_deterministic_hash():
