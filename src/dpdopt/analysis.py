@@ -8,7 +8,12 @@ coupling every agent except the perturbed one evolves bitwise identically,
 so the per-iteration L1 gap is exactly the quantity the privacy accountant
 divides by the noise scale. The audit takes its checks, trial seeds and
 chunks from the engine's `_ensemble`, as the simulator does, and replays
-each chunk of the simulator's trials in turn.
+each chunk of the simulator's trials in turn: it draws the chunk's streams
+through the engine's `_draw_streams` once, its noise already transformed,
+for every audited dynamic. Each replay steps the two runs together as one
+(2, trials, n, p) batch through the engine's `_obs_step`, one call per step:
+the problem it passes is the base problem with the two problems' linear
+terms stacked, so the transcript's products are computed once for both.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _DYNAMICS, _draw_streams, _ensemble, _obs_step, _schedule_arrays, _trajectory
+from .engine import (_DYNAMICS, _check_finite, _draw_streams, _ensemble, _obs_step,
+                     _schedule_arrays)
 from .engine import trial_seed  # noqa: F401  (perfbench/tracing.py patches it)
 from .errors import ScheduleError
-from .objective import AdjacentPair
+from .objective import AdjacentPair, _stacked
 from .rng import substream
 from .schedule import ScheduleParams
 from .schedule import laplace_from_uniform  # noqa: F401  (perfbench/tracing.py patches it)
@@ -91,10 +97,11 @@ def audit_sensitivity(
 ) -> SensitivityEnvelope:
     """Empirical per-iteration sensitivity of one dynamic on one adjacent pair.
 
-    The base problem runs through the simulator's own trajectory generator,
-    so each trial's initial state, noise and observation transcript are the
-    simulator's; the identical transcript is replayed into the perturbed
-    problem. The envelope is the per-k max over trials.
+    The base problem runs on the simulator's streams through the
+    simulator's kernel, so each trial's initial state, noise and observation
+    transcript are the simulator's bit for bit; the identical transcript is
+    replayed into the perturbed problem. The envelope is the per-k max over
+    trials.
     """
     if algorithm not in AUDIT_ALGORITHMS:
         raise ValueError(
@@ -106,15 +113,17 @@ def audit_sensitivity(
 
 def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
     """The SensitivityEnvelope of each of algorithms over the checked chunks
-    of trial seeds `_audit_setup` returns. Each chunk's streams are drawn once
-    and shared by every replay; the maximum over chunks is exact."""
+    of trial seeds `_audit_setup` returns. Each chunk's streams are drawn and
+    its noise transformed once, and shared by every replay; the maximum over
+    chunks is exact."""
     n, p = pair.base.n, pair.base.p
+    alphas, nus = _schedule_arrays(sp, T)
+    stacked = _stacked(pair)
     parts = {alg: [] for alg in algorithms}
     for seeds in chunks:
-        streams = _draw_streams(seeds, T, n, p, sp.delta > 0.0)
+        streams = _draw_streams(seeds, T, n, p, nus if sp.delta > 0.0 else None)
         for alg in algorithms:
-            parts[alg].append(_replay(pair, alg, Wm, sp, T, seeds, streams))
-    alphas, _ = _schedule_arrays(sp, T)
+            parts[alg].append(_replay(stacked, pair.i0, alg, Wm, sp, alphas, seeds, streams))
     return {
         alg: SensitivityEnvelope(
             algorithm=alg,
@@ -127,24 +136,39 @@ def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
     }
 
 
-def _replay(pair, algorithm, Wm, sp, T, seeds, streams):
-    """Replay one dynamic over the trial streams of seeds, drawn by
-    _draw_streams. Returns the per-k maximum over these trials of the L1 state
-    gap and the largest gap on an untouched row."""
-    alphas, _ = _schedule_arrays(sp, T)
-    others = np.arange(pair.base.n) != pair.i0
-    steps = _trajectory(pair.base, Wm, sp, algorithm, T, seeds, streams=streams)
-    Xp, Yp, *_ = next(steps)
+def _replay(stacked, i0, algorithm, Wm, sp, alphas, seeds, streams):
+    """Replay one dynamic on the adjacent pair for the T = len(alphas)
+    stepsizes alphas over the trial streams of seeds, the (X0, noise) that
+    _draw_streams drew for them; stacked is `_stacked(pair)`. Returns the
+    per-k maximum over these trials of the L1 state gap and the largest gap
+    on a row other than i0.
+
+    The base and the perturbed run step together as one (2, trials, n, p)
+    state, member 0 the base run, through one _obs_step call per step. The
+    base run's observation Z = X[0] + Xi (X[0] when noiseless) is the shared
+    transcript both members consume, so W @ Z and any product with Z are
+    computed once per step. Member 0 is bit for bit the simulator's
+    trajectory of the base problem, and its non-finite final state raises
+    the simulator's DivergenceError.
+    """
+    T = len(alphas)
+    X0, noise = streams
+    X = np.stack((X0, X0))
+    Y = np.zeros_like(X)
 
     gaps = np.empty((len(seeds), T))
     off_target = 0.0
-    for idx, (Xb, _, _, Z, _) in enumerate(steps):
+    for idx in range(T):
+        Z = X[0] if noise is None else X[0] + noise[:, idx]
         # no audited dynamic reads the previous gradient, so none is passed
-        Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, None, Z, Wm, pair.perturbed, alphas[idx],
-                              sp.beta)
-        D = np.abs(Xb - Xp)
+        X, Y, _ = _obs_step(algorithm, X, Y, None, Z, Wm, stacked, alphas[idx], sp.beta)
+        D = np.subtract(X[0], X[1])
+        np.abs(D, out=D)
         gaps[:, idx] = D.sum(axis=(1, 2))
-        off_target = max(off_target, float(D[:, others, :].max(initial=0.0)))
+        # the gaps are >= 0 (or NaN), so a zeroed row i0 leaves the others' max
+        D[:, i0] = 0.0
+        off_target = max(off_target, float(D.max()))
+    _check_finite(algorithm, X[0], seeds, T)
     return gaps.max(axis=0), off_target
 
 

@@ -188,6 +188,12 @@ def _cmd_tune(args) -> tuple[int, str]:
 
 def _cmd_mnmi(args) -> tuple[int, str]:
     cfg, wm, pr, sp, trials, T = _inputs(args)
+    # each iteration's score takes one sample per trial; checked before the
+    # simulation, naming whichever of the flag or the config set the count
+    if trials < privacy_eval._MIN_SAMPLES:
+        source = "run.trials" if args.trials is None else "--trials"
+        raise ValueError(f"{source}: need at least {privacy_eval._MIN_SAMPLES} samples, "
+                         f"got {trials}")
     if not 1 <= args.neighbors <= trials - 1:
         raise ValueError(f"--neighbors: k_neighbors must be in [1, {trials - 1}], "
                          f"got {args.neighbors}")

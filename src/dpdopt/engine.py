@@ -26,8 +26,12 @@ step returned. The simulator, the sensitivity audit and the attacker view
 all lay out their ensemble through one function, `_ensemble`, which checks
 the arguments, converts W once, derives the trial seeds and splits them into
 `_chunk_size` chunks, and the simulator's chunks further into pieces, one per
-job. They all step through one generator, `_trajectory`, which owns the trial
-streams, the schedule, the noise draw and the kernel call.
+job. They all draw a chunk's trial streams through `_draw_streams`, which
+returns its initial states and its noise already Laplace-transformed, one
+transform per chunk however many dynamics read it. The simulator and the
+attacker view step through one generator, `_trajectory`, which owns the
+streams, the schedule and the kernel call; the audit steps each adjacent pair
+as one stacked batch through `_obs_step`, the kernel call `_trajectory` makes.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
@@ -138,8 +142,9 @@ def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float
 
     This is the single source of truth for every dynamic. `_trajectory`
     steps every simulated trajectory through it, and the sensitivity audit
-    replays the recorded Z into the perturbed twin through it too, which
-    keeps the untouched agents bitwise identical across the pair.
+    steps its base and perturbed runs through it too, as one (2, trials, n,
+    p) batch on the base run's Z, which keeps the untouched agents bitwise
+    identical across the pair.
     """
     return _DYNAMICS[algorithm].kernel(X, Y, G, Z, W, pr, a_k, beta)
 
@@ -154,7 +159,7 @@ def _schedule_arrays(sp: ScheduleParams, T: int, constant: bool = False):
 
 
 def _chunk_size(trials: int, T: int, n: int, p: int) -> int:
-    """Trials per chunk that keep its preallocated uniform block under ~256 MB."""
+    """Trials per chunk that keep its preallocated noise block under ~256 MB."""
     per_trial = max(1, T * n * p * 8)
     return max(1, min(trials, (256 << 20) // per_trial))
 
@@ -249,47 +254,64 @@ def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials
                 for piece in _split(part, -(-pieces * len(part) // trials))]
 
 
-def _draw_streams(seeds, T: int, n: int, p: int, noisy: bool):
-    """The trial streams `_trajectory` steps through: the (trials, n, p)
-    initial states and, when noisy, the (trials, T, n, p) uniform noise block
-    (None otherwise).
+def _draw_streams(seeds, T: int, n: int, p: int, nus):
+    """The streams of the trials whose seeds are seeds, which `_trajectory`
+    and the audit's replay step through: the (trials, n, p) initial states
+    and, given the noise scales nus of iterations 1..T, the read-only
+    (trials, T, n, p) Laplace noise block (None when nus is None).
 
     Trial seed s owns substream(s, "init"), which draws its initial state,
     and substream(s, "noise"), whose row k - 1 drives iteration k through
-    laplace_from_uniform.
+    laplace_from_uniform(row, nus[k - 1]). The noise is transformed in place
+    in the block draw_rows filled, one step's (trials, n, p) slice at a
+    time, so the transform's temporaries stay the size of one slice. Every
+    dynamic that reads the block shares its one transform.
     """
     trials = len(seeds)
     seeds = np.asarray(seeds)
     X = draw_rows([(seeds, "init")], np.random.Generator.standard_normal,
                   out=np.empty((trials, n, p)))
-    U = None
-    if noisy:
-        U = draw_rows([(seeds, "noise")], np.random.Generator.random,
-                      out=np.empty((trials, T, n, p)))
-    return X, U
+    noise = None
+    if nus is not None:
+        noise = draw_rows([(seeds, "noise")], np.random.Generator.random,
+                          out=np.empty((trials, T, n, p)))
+        for k in range(T):
+            noise[:, k] = laplace_from_uniform(noise[:, k], nus[k])
+        noise.flags.writeable = False
+    return X, noise
 
 
-def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
+def _check_finite(algorithm: str, X, seeds, T: int) -> None:
+    """Raise DivergenceError naming the first trial of the (trials, n, p)
+    final states X that is not finite after T iterations."""
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if not finite.all():
+        raise DivergenceError(
+            f"{algorithm} diverged: trial seed {seeds[int(np.argmin(finite))]} "
+            f"has a non-finite state after {T} iterations"
+        )
+
+
+def _trajectory(pr, W, sp, algorithm, T, seeds):
     """Step len(seeds) trials of one dynamic together, yielding
     (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches. W is an array.
 
     The trial streams are `_draw_streams`'s; a noiseless run (a constant
-    dynamic, or delta = 0) draws no noise stream. streams, if given, is the
-    (X0, U) pair `_draw_streams` returned for these seeds, drawn once and
-    shared by several dynamics; it is only read.
+    dynamic, or delta = 0) draws no noise stream.
 
     k = 0 yields the initial state, Y(0) and G(0) (zero and None, except for
     a tracking dynamic, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
     Each later yield is the state after step k, the G that step evaluated,
-    the observation Z = X(k-1) + Xi it consumed and the noise Xi (None, with
-    Z = X(k-1), when noiseless). Yielded arrays are never written again.
+    the observation Z = X(k-1) + Xi it consumed and the noise Xi, a
+    read-only view of the noise block (None, with Z = X(k-1), when
+    noiseless). Yielded arrays are never written again.
     A trial whose final state is not finite raises DivergenceError once the
     last step has been consumed.
     """
     row = _DYNAMICS[algorithm]
-    noisy = not row.constant and sp.delta > 0.0
-    X, U = _draw_streams(seeds, T, pr.n, pr.p, noisy) if streams is None else streams
     alphas, nus = _schedule_arrays(sp, T, row.constant)
+    noisy = not row.constant and sp.delta > 0.0
+    X, noise = _draw_streams(seeds, T, pr.n, pr.p, nus if noisy else None)
     G = pr.gradients(X) if row.tracking else None
     Y = np.zeros_like(X) if G is None else G
     Z = Xi = None
@@ -297,19 +319,14 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
 
     for idx in range(T):
         if noisy:
-            Xi = laplace_from_uniform(U[:, idx], nus[idx])
+            Xi = noise[:, idx]
             Z = X + Xi
         else:
             Z = X
         X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, float(alphas[idx]), sp.beta)
         yield X, Y, G, Z, Xi
 
-    finite = np.isfinite(X).all(axis=(1, 2))
-    if not finite.all():
-        raise DivergenceError(
-            f"{algorithm} diverged: trial seed {seeds[int(np.argmin(finite))]} "
-            f"has a non-finite state after {T} iterations"
-        )
+    _check_finite(algorithm, X, seeds, T)
 
 
 # Byte budget of one stacked block of states: _batched reduces the metrics and

@@ -8,6 +8,7 @@ changes that agent's gradient by a constant vector and nothing else.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,31 +112,35 @@ class Problem:
         """Per-agent gradients, broadcast over leading axes.
 
         X has shape (..., n, p): row i is the point agent i evaluates at.
+        lin_stack broadcasts over leading axes too, so a problem whose
+        lin_stack stacks the linear terms of several problems that share
+        hess_stack, (m, 1, n, p), gives each one's gradients at the same X
+        along a leading axis of m (the sensitivity audit's replay does).
         For p <= 2 each entry is its products and linear term added in
         einsum's order, so it gives einsum's bits.
         """
         X = np.asarray(X, dtype=float)
         H = self.hess_stack
+        lin = self.lin_stack
         if self.p > 2:
             # einsum's summation order follows its SIMD lanes and so the
             # machine; a column loop would round differently
-            return np.einsum("nij,...nj->...ni", H, X) + self.lin_stack
+            return np.einsum("nij,...nj->...ni", H, X) + lin
         # these skip einsum's per-call set-up; on the x86-64 build they were
         # measured on, one or two products and adds per entry equal einsum
         # bit for bit (test_gradients_equal_einsum_bitwise guards it)
         if self.p == 1:
             G = H[:, :, 0] * X
-            G += self.lin_stack
-            return G
+            # in place, unless a stacked lin_stack widens the output
+            return np.add(G, lin, out=G if lin.ndim == 2 else None)
         # p = 2: each output column is built from the (..., n) views
         # X[..., j], so numpy's inner loops run over trials and agents rather
         # than over the 2 columns of a broadcast
-        G = np.empty(X.shape)
+        G = np.empty(X.shape if lin.ndim == 2 else np.broadcast(X, lin).shape)
         for k in range(2):
             g = H[:, k, 0] * X[..., 0]
             g += H[:, k, 1] * X[..., 1]
-            g += self.lin_stack[:, k]
-            G[..., k] = g
+            np.add(g, lin[..., k], out=G[..., k])
         return G
 
 
@@ -148,6 +153,21 @@ class AdjacentPair:
     perturbed: Problem
     i0: int
     delta: float
+
+
+def _stacked(pair: AdjacentPair) -> Problem:
+    """pair.base with the member-stacked (2, 1, n, p) lin_stack of the base
+    and the perturbed problem: its gradients at a shared (trials, n, p) point
+    or at a (2, trials, n, p) pair of states are the base problem's as member
+    0 and the perturbed problem's as member 1, bit for bit. The sensitivity
+    audit steps both runs of the pair with it."""
+    base, perturbed = pair.base, pair.perturbed
+    if not np.array_equal(base.hess_stack, perturbed.hess_stack):
+        raise ProblemError("an adjacent pair's problems must share their curvature")
+    stacked = copy.copy(base)
+    object.__setattr__(stacked, "lin_stack",
+                       np.stack((base.lin_stack, perturbed.lin_stack))[:, None])
+    return stacked
 
 
 def optimum(pr: Problem) -> np.ndarray:

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _JITTER = 1e-10
+# the fewest samples knn_mutual_information scores
+_MIN_SAMPLES = 50
 
 
 def _load_scipy() -> None:
@@ -287,8 +289,8 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
     n = len(xs)
     if len(ys) != n:
         raise ValueError(f"sample counts differ: {n} vs {len(ys)}")
-    if n < 50:
-        raise ValueError(f"need at least 50 samples, got {n}")
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     if not 1 <= k_neighbors <= n - 1:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):

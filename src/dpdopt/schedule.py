@@ -84,9 +84,10 @@ def laplace_from_uniform(u01, scale) -> np.ndarray:
     is 2*scale^2; scale broadcasts and zero scale gives exact zeros.
 
     The transform is pinned here, rather than delegated to rng.laplace, so
-    the draw-for-draw stream layout is a documented contract: simulation and
-    sensitivity audit can preallocate one uniform block and consume the same
-    noise column by column.
+    the draw-for-draw stream layout is a documented contract: the engine
+    preallocates one uniform block per chunk of trials and transforms it in
+    place step by step, and simulation and sensitivity audit consume the
+    same noise column by column.
     """
     u = np.asarray(u01) - 0.5
     # u = -0.5 has probability 2^-53; clamp so log never sees exact zero

@@ -1,12 +1,16 @@
 """Sensitivity audits, gain-system bounds, the spectral test, and tuning."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpdopt import (
     AUDIT_ALGORITHMS,
+    AdjacentPair,
+    Problem,
+    QuadraticCost,
     ScheduleParams,
     accuracy_bound,
     atilde,
@@ -51,28 +55,95 @@ def test_audit_envelope_equals_bound_for_dpdgd(audit_setup):
     assert env.off_target_max == 0.0
 
 
+def two_call_replay(pair, algorithm, W, sp, T, seeds, Zs):
+    """The coupled replay as two separate runs on one batch of trials: the
+    base and the perturbed problem each step through _obs_step on the shared
+    observations Zs[k]. Returns the base states after each step, the per-k
+    maximum over trials of the L1 gap and the largest gap off row i0."""
+    alphas = np.asarray(stepsize(sp, np.arange(1, T + 1)))
+    others = np.arange(pair.base.n) != pair.i0
+    X0 = draw_rows([(np.asarray(seeds), "init")], np.random.Generator.standard_normal,
+                   out=np.empty((len(seeds), pair.base.n, pair.base.p)))
+    Xb, Xp = X0.copy(), X0.copy()
+    Yb, Yp = np.zeros_like(X0), np.zeros_like(X0)
+    states, dh, off = [], np.zeros(T), 0.0
+    for k in range(T):
+        Z = Xb if Zs is None else Zs[k]
+        Xb, Yb, _ = _obs_step(algorithm, Xb, Yb, None, Z, W, pair.base, alphas[k], sp.beta)
+        Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, None, Z, W, pair.perturbed, alphas[k],
+                              sp.beta)
+        states.append(Xb)
+        D = np.abs(Xb - Xp)
+        dh[k] = D.sum(axis=(1, 2)).max()
+        off = max(off, float(D[:, others, :].max()))
+    return states, dh, off
+
+
 def test_audit_base_trajectory_is_engine_trajectory(audit_setup):
     # the audit replays the exact simulator trajectory: rebuild delta_hat
-    # from the engine's own per-trial yields and require bitwise agreement
+    # from the engine's own yields and a replay of the perturbed problem on
+    # them, and require bitwise agreement for every audited dynamic. At
+    # n = 10 and p = 2 a batch of 26 trials is 4 160 B and the audit's
+    # stacked pair 8 320 B, on either side of the agent sum's 8 KB switch;
+    # 1 and 200 trials sit below and above both.
     pair, wm, sp = audit_setup
-    T, trials, seed = 12, 5, 123
-    env = audit_sensitivity(pair, "alg1", wm.W, sp, T, trials, seed)
-    alphas = np.asarray(stepsize(sp, np.arange(1, T + 1)))
-    dh = np.zeros(T)
-    for t in range(trials):
-        steps = list(_trajectory(pair.base, wm.W, sp, "alg1", T, [trial_seed(seed, t)]))
-        Xb = steps[0][0][0].copy()
-        Xp = Xb.copy()
-        Yb = np.zeros_like(Xb)
-        Yp = np.zeros_like(Xb)
-        for k in range(T):
-            Z = steps[k + 1][3][0]
-            Xb, Yb, _ = _obs_step("alg1", Xb, Yb, None, Z, wm.W, pair.base, alphas[k], sp.beta)
-            Xp, Yp, _ = _obs_step("alg1", Xp, Yp, None, Z, wm.W, pair.perturbed, alphas[k],
-                                  sp.beta)
-            assert np.array_equal(Xb, steps[k + 1][0][0])
-            dh[k] = max(dh[k], np.abs(Xb - Xp).sum())
-    assert np.array_equal(dh, env.delta_hat)
+    T, seed = 12, 123
+    for algorithm in AUDIT_ALGORITHMS:
+        for trials in (1, 26, 200):
+            env = audit_sensitivity(pair, algorithm, wm.W, sp, T, trials, seed)
+            seeds = [trial_seed(seed, t) for t in range(trials)]
+            steps = list(_trajectory(pair.base, wm.W, sp, algorithm, T, seeds))
+            states, dh, off = two_call_replay(pair, algorithm, wm.W, sp, T, seeds,
+                                              [step[3] for step in steps[1:]])
+            for k in range(T):
+                assert np.array_equal(states[k], steps[k + 1][0]), (algorithm, trials, k)
+            assert np.array_equal(dh, env.delta_hat), (algorithm, trials)
+            assert off == env.off_target_max == 0.0, (algorithm, trials)
+
+
+def test_audit_schedule_without_noise_is_a_plain_replay(audit_setup, monkeypatch):
+    # schedule delta = 0 draws no noise: both runs consume the base run's own
+    # states, and every envelope equals a two-call replay bit for bit
+    pair, wm, sp = audit_setup
+    sp0 = replace(sp, delta=0.0)
+    T, trials, seed = 12, 30, 8
+    drawn = []
+
+    def counted(entropies, *args, **kwargs):
+        drawn.extend(entropy[1] for entropy in entropies)
+        return draw_rows(entropies, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "draw_rows", counted)
+    rep = compare_sensitivities(pair, wm.W, sp0, T, trials, seed)
+    assert drawn == ["trial", "init"]
+    seeds = [trial_seed(seed, t) for t in range(trials)]
+    bound = pair.delta * np.asarray(stepsize(sp0, np.arange(1, T + 1)))
+    for alg in AUDIT_ALGORITHMS:
+        _, dh, off = two_call_replay(pair, alg, wm.W, sp0, T, seeds, None)
+        env = rep.envelopes[alg]
+        assert np.array_equal(env.delta_hat, dh)
+        assert env.off_target_max == off
+        assert np.array_equal(env.bound, bound)
+
+
+def test_audit_sees_a_second_moved_agent(audit_setup):
+    # a pair whose perturbed problem also moves agent 7's bias is not
+    # adjacent; the untouched-row check must see it for every dynamic, so
+    # the stacked replay keeps the rows other than i0 live
+    pair, wm, sp = audit_setup
+    costs = list(pair.perturbed.costs)
+    old = costs[7]
+    costs[7] = QuadraticCost(old.M, old.v, old.omega, old.bias + np.array([0.3, -0.2]))
+    moved = AdjacentPair(pair.base, Problem(tuple(costs), pair.base.p), pair.i0, pair.delta)
+    rep = compare_sensitivities(moved, wm.W, sp, T=10, trials=20, seed=2)
+    seeds = [trial_seed(2, t) for t in range(20)]
+    for alg, env in rep.envelopes.items():
+        assert env.off_target_max > 0.0
+        steps = list(_trajectory(moved.base, wm.W, sp, alg, 10, seeds))
+        _, dh, off = two_call_replay(moved, alg, wm.W, sp, 10, seeds,
+                                     [step[3] for step in steps[1:]])
+        assert np.array_equal(env.delta_hat, dh)
+        assert env.off_target_max == off
 
 
 def test_audit_validation(audit_setup):

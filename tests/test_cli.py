@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dpdopt
-from dpdopt import engine
+from dpdopt import engine, privacy_eval
 from dpdopt.cli import cli
 
 MAIN_CFG = """\
@@ -751,6 +751,28 @@ def test_rejected_flag_value_names_the_flag(argv, message, main_cfg, mnmi_cfg, c
     assert cli(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize("source", ["--trials", "run.trials"])
+def test_mnmi_sample_count_names_its_source(source, tmp_path, monkeypatch, capsys):
+    # the leakage estimator needs 50 samples, one per trial; the count is
+    # checked before anything is simulated, and the message names what set it
+    cfg = tmp_path / "mnmi.cfg"
+    argv = ["mnmi", "--config", str(cfg)]
+    if source == "--trials":
+        cfg.write_text(MNMI_CFG, encoding="utf-8")
+        argv += ["--trials", "40"]
+    else:
+        cfg.write_text(with_values(MNMI_CFG, {"run.trials": 40}), encoding="utf-8")
+
+    def not_simulated(*args, **kwargs):
+        raise AssertionError("simulated before the sample count was checked")
+
+    monkeypatch.setattr(privacy_eval, "collect_attacker_view", not_simulated)
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"{source}: need at least 50 samples, got 40\n")
 
 
 def test_python_dash_m_entry_point():

@@ -1,5 +1,6 @@
 """Simulation engine: determinism, stream layout, metrics, and step kernels."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,57 @@ def test_noise_stream_layout(setup):
         assert np.array_equal(Z[k], X[k] + Xi)
     X0 = substream(seed, "init").standard_normal((pr.n, pr.p))
     assert np.array_equal(X[0], X0)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_noise_block_is_each_trials_laplace_stream(setup, monkeypatch, chunk):
+    # row k of trial s's noise is laplace_from_uniform of row k of
+    # substream(s, "noise"), bit for bit, in one chunk or in chunks of 3
+    pr, wm, sp = setup
+    T, trials = 5, 7
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    _, chunks = engine._ensemble(pr, wm.W, sp, "alg1", T, trials, seed=3)
+    assert len(chunks) == (1 if chunk is None else 3)
+    nus = np.asarray(noise_scale(sp, np.arange(1, T + 1)))
+    for seeds in chunks:
+        X0, noise = engine._draw_streams(seeds, T, pr.n, pr.p, nus)
+        assert noise.shape == (len(seeds), T, pr.n, pr.p)
+        assert not noise.flags.writeable
+        for t, s in enumerate(seeds):
+            U = substream(s, "noise").random((T, pr.n, pr.p))
+            for k in range(T):
+                assert noise[t, k].tobytes() == laplace_from_uniform(U[k], nus[k]).tobytes()
+            assert X0[t].tobytes() == substream(s, "init").standard_normal((pr.n, pr.p)).tobytes()
+        assert engine._draw_streams(seeds, T, pr.n, pr.p, None)[1] is None
+
+
+def test_noise_block_is_the_drawn_buffer(setup, monkeypatch):
+    # the Laplace transform runs in place, one step's slice at a time: the
+    # block returned is the one draw_rows filled, and the call never holds a
+    # second block-sized array
+    pr, _, sp = setup
+    T, seeds = 40, list(range(50))
+    nus = np.asarray(noise_scale(sp, np.arange(1, T + 1)))
+    draw_rows, filled = engine.draw_rows, []
+
+    def recorded(entropies, draw, out=None):
+        filled.append(out)
+        return draw_rows(entropies, draw, out=out)
+
+    monkeypatch.setattr(engine, "draw_rows", recorded)
+    tracemalloc.start()
+    try:
+        X0, noise = engine._draw_streams(seeds, T, pr.n, pr.p, nus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert noise is filled[1]
+    assert noise.base is None and noise.flags.c_contiguous
+    block = len(seeds) * T * pr.n * pr.p * 8
+    assert noise.nbytes == block
+    # the block, the initial states and a few slice-sized temporaries
+    assert peak < block + X0.nbytes + 10 * block // T
 
 
 def test_zero_iterations(setup):

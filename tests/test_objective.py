@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdopt import (
+    AdjacentPair,
     Problem,
     ProblemError,
     QuadraticCost,
@@ -13,6 +14,7 @@ from dpdopt import (
     optimum,
     random_problem,
 )
+from dpdopt.objective import _stacked
 
 
 def _finite_diff(cost, x, h=1e-6):
@@ -93,6 +95,40 @@ def test_gradients_equal_einsum_bitwise(p, lead, sliced):
     assert G.tobytes() == want.tobytes()
     for a, b in zip((X, pr.hess_stack, pr.lin_stack), before):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 26, 200])
+def test_member_stacked_gradients_are_each_problems(p, trials):
+    # the audit's replay stacks the base and perturbed linear terms as
+    # (2, 1, n, p); at a shared point or at a pair of states, member m of
+    # the gradients is problem m's own, bit for bit, and nothing is written
+    pr = random_problem(10, 3, p, (0.5, 1.5), seed=p)
+    pair = make_adjacent(pr, i0=3, delta=1.0, seed=1)
+    stacked = _stacked(pair)
+    assert stacked.lin_stack.shape == (2, 1, pr.n, p)
+    assert pair.base.lin_stack.shape == (pr.n, p)
+    rng = np.random.default_rng(trials)
+    shared = rng.standard_normal((trials, pr.n, p))
+    pairs = rng.standard_normal((2, trials, pr.n, p))
+    before = [a.copy() for a in (shared, pairs, stacked.lin_stack)]
+    G = stacked.gradients(shared)
+    assert G.shape == (2, trials, pr.n, p)
+    assert G[0].tobytes() == pair.base.gradients(shared).tobytes()
+    assert G[1].tobytes() == pair.perturbed.gradients(shared).tobytes()
+    G = stacked.gradients(pairs)
+    assert G.shape == (2, trials, pr.n, p)
+    assert G[0].tobytes() == pair.base.gradients(pairs[0]).tobytes()
+    assert G[1].tobytes() == pair.perturbed.gradients(pairs[1]).tobytes()
+    for a, b in zip((shared, pairs, stacked.lin_stack), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_stacking_needs_shared_curvature():
+    pr = random_problem(4, 3, 2, (0.5, 1.5), seed=0)
+    other = random_problem(4, 3, 2, (0.5, 1.5), seed=1)
+    with pytest.raises(ProblemError, match="share their curvature"):
+        _stacked(AdjacentPair(pr, other, 0, 1.0))
 
 
 def test_problem_validation():
