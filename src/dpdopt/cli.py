@@ -10,7 +10,8 @@ its exit status and its rendered output, which cli() writes once, to --out
 or stdout.
 
 Exit status: 0 success, 1 a failed audit check, 2 a usage error or any
-invalid input, 3 an output that could not be written, 4 a diverging run.
+invalid input, 3 an output that could not be written, 4 a diverging run or
+a reported number that overflows.
 Every error is reported on stderr without a traceback.
 """
 
@@ -240,31 +241,32 @@ def _cmd_compare(args) -> tuple[int, str]:
 
     curves = {}
     for alg in args.algorithms:
-        residual = monte_carlo(pr, wm, sp, alg, T, trials, cfg.seed, jobs=args.jobs).residual
+        residual = monte_carlo(pr, wm, sp, alg, T, trials, cfg.seed, jobs=args.jobs,
+                               residual_only=True).residual
         finals = residual[:, -1]
-        curves[alg] = (residual.mean(axis=0), float(finals.mean()), float(finals.std()))
+        curves[alg] = {
+            "residual_mean": residual.mean(axis=0),
+            "final_residual_mean": float(finals.mean()),
+            "final_residual_std": float(finals.std()),
+        }
+        harness.require_finite(alg, curves[alg])
 
     if args.format == "json":
-        body = {
-            alg: {
-                "residual_mean": mean.tolist(),
-                "final_residual_mean": final_mean,
-                "final_residual_std": final_std,
-            }
-            for alg, (mean, final_mean, final_std) in curves.items()
-        }
+        body = {alg: {**curve, "residual_mean": curve["residual_mean"].tolist()}
+                for alg, curve in curves.items()}
         return 0, harness.format_json(body)
     if args.format == "csv":
         steps = T + 1
         columns = (
             np.repeat(list(curves), steps),
             np.tile(np.arange(steps), len(curves)),
-            np.concatenate([mean for mean, _, _ in curves.values()]),
+            np.concatenate([curve["residual_mean"] for curve in curves.values()]),
         )
         return 0, harness.format_csv(("algorithm", "k", "residual_mean"), columns)
     return 0, "".join(
-        f"{alg}: final residual {final_mean:.6g} +- {final_std:.6g}\n"
-        for alg, (_, final_mean, final_std) in curves.items()
+        f"{alg}: final residual {curve['final_residual_mean']:.6g} "
+        f"+- {curve['final_residual_std']:.6g}\n"
+        for alg, curve in curves.items()
     )
 
 

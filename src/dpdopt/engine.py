@@ -36,9 +36,14 @@ as one stacked batch through `_obs_step`, the kernel call `_trajectory` makes.
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
 computes the four trace metrics and every invariant diagnostic of the block
-with one reduction each, bitwise equal to reducing step by step. The first
-block that holds a non-finite state ends the run with a DivergenceError that
-names the trial and the iteration. `monte_carlo` runs each piece of trials
+with one reduction each, bitwise equal to reducing step by step. A caller
+that reports the residual alone passes residual_only: the run then reduces
+the residual with the same reduction and nothing else, checks no invariant,
+and its Trace holds None for the other series. The first block that holds a
+non-finite state ends the run with a DivergenceError that names the trial
+and the iteration. A run whose states stay finite while a series it reports
+overflows raises one at its end, naming the series and its first non-finite
+iteration and trial. `monte_carlo` runs each piece of trials
 through `_piece`: the calling process runs the first, and with jobs > 1 a
 process pool runs the others, one whole piece per task. A piece gives one
 trial-major Trace, rendered in the piece's own process when the caller asks,
@@ -170,16 +175,17 @@ class Trace:
     C-contiguous (trials, T + 1) array is trial t, and column 0 its initial
     state (step_norm[:, 0] is defined as 0). diagnostics maps each invariant
     of the dynamic's row to a (trials,) array of its worst residual per trial,
-    none when T = 0. rendered holds what monte_carlo's render made of the
-    trials, empty without one. Traces compare by identity; compare their
-    arrays."""
+    none when T = 0. A residual-only run holds None for the other three
+    series and {} for diagnostics. rendered holds what monte_carlo's render
+    made of the trials, empty without one. Traces compare by identity;
+    compare their arrays."""
 
     algorithm: str
     iterations: int
     residual: np.ndarray  # ||X - 1 x*^T||_F^2
-    consensus_err: np.ndarray  # ||X - 1 xbar^T||_F^2
-    mean_err: np.ndarray  # ||xbar - x*||^2
-    step_norm: np.ndarray  # ||X(k) - X(k-1)||_F^2
+    consensus_err: np.ndarray | None  # ||X - 1 xbar^T||_F^2
+    mean_err: np.ndarray | None  # ||xbar - x*||^2
+    step_norm: np.ndarray | None  # ||X(k) - X(k-1)||_F^2
     xstar: np.ndarray
     diagnostics: dict
     rendered: str = ""
@@ -196,22 +202,28 @@ def _join(parts: list[Trace]) -> Trace:
     if len(parts) == 1:
         return parts[0]
     joined = {name: np.concatenate([getattr(part, name) for part in parts])
-              for name in _SERIES}
+              for name in _SERIES if getattr(parts[0], name) is not None}
     diagnostics = {key: np.concatenate([part.diagnostics[key] for part in parts])
                    for key in parts[0].diagnostics}
     rendered = "".join(part.rendered for part in parts)
     return replace(parts[0], **joined, diagnostics=diagnostics, rendered=rendered)
 
 
+def _seed_draw(gen: np.random.Generator) -> int:
+    """int(gen.integers(2**63)) from a fresh stream: for this bound numpy's
+    Lemire draw is the stream's first raw 64-bit word shifted right by one,
+    and reading the word skips the draw's set-up."""
+    return gen.bit_generator.random_raw() >> 1
+
+
 def trial_seed(seed: int, t: int) -> int:
     """Master seed for trial t of an ensemble rooted at seed."""
-    return int(substream(seed, "trial", t).integers(2**63))
+    return _seed_draw(substream(seed, "trial", t))
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
     """[trial_seed(seed, t) for t in range(trials)], drawn through draw_rows."""
-    return draw_rows([(seed, "trial", np.arange(trials))],
-                     lambda gen: int(gen.integers(2**63)))
+    return draw_rows([(seed, "trial", np.arange(trials))], _seed_draw)
 
 
 def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T: int):
@@ -317,13 +329,13 @@ def _trajectory(pr, W, sp, algorithm, T, seeds):
     Z = Xi = None
     yield X, Y, G, Z, Xi
 
-    for idx in range(T):
+    for idx, a_k in enumerate(alphas.tolist()):
         if noisy:
             Xi = noise[:, idx]
             Z = X + Xi
         else:
             Z = X
-        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, float(alphas[idx]), sp.beta)
+        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, a_k, sp.beta)
         yield X, Y, G, Z, Xi
 
     _check_finite(algorithm, X, seeds, T)
@@ -372,12 +384,17 @@ def _agent_mean(A):
     return S
 
 
-def _batched(pr, W, sp, algorithm, T, seeds, xstar):
+def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
     """Simulate len(seeds) trials at once; W is an array. Returns their Trace,
     with each trial's worst residual of each invariant as its diagnostics.
+    residual_only computes the residual alone: the other three series are
+    None and diagnostics {}, and no invariant is checked.
 
     Steps are reduced in blocks of B, as many (trials, n, p) states as fit in
     _BLOCK_BYTES and at least one; a block of one stacks views, not copies.
+    The first block with a non-finite state raises DivergenceError at once.
+    A run whose states stay finite but whose reported series are not raises
+    one at its end, naming the first such iteration, trial and series.
     """
     trials = len(seeds)
     row = _DYNAMICS[algorithm]
@@ -390,16 +407,23 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar):
 
     # trial-major, as the Trace holds them; a block fills whole columns
     residual = np.empty((trials, T + 1))
-    consensus = np.empty((trials, T + 1))
-    mean_err = np.empty((trials, T + 1))
-    step_norm = np.zeros((trials, T + 1))
+    if residual_only:
+        consensus = mean_err = step_norm = None
+    else:
+        consensus = np.empty((trials, T + 1))
+        mean_err = np.empty((trials, T + 1))
+        step_norm = np.zeros((trials, T + 1))
+    reported = {name: series for name, series in
+                zip(_SERIES, (residual, consensus, mean_err, step_norm)) if series is not None}
 
     def metrics(cols, Xb, Xprev):
-        """Fill columns cols of the four metric arrays from the (b, trials,
-        n, p) states Xb; Xprev is the state before Xb[0] (None at k = 0).
-        Returns the agent means, (b, trials, p)."""
+        """Fill columns cols of the reported series from the (b, trials, n, p)
+        states Xb; Xprev is the state before Xb[0] (None at k = 0). Returns
+        the agent means, (b, trials, p), or None for a residual-only run."""
         diff = Xb - xstar
         residual[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
+        if residual_only:
+            return None
         xbar = _agent_mean(Xb)
         diff = Xb - xbar[:, :, None, :]
         consensus[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
@@ -449,7 +473,9 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar):
             worst("tracking_resid_max", Ymean - Gmean)
         return S
 
-    xbar = metrics(slice(0, 1), X[None], None)[0]
+    diagnosed = bool(row.invariants) and not residual_only
+    overflow = None  # the DivergenceError of the first non-finite series
+    xbar = metrics(slice(0, 1), X[None], None)  # the means of the last block's states
     S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
     for k0 in range(1, T + 1, B):
         b = min(B, T + 1 - k0)
@@ -459,8 +485,8 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar):
         Xb = _stack(Xs)
         cols = slice(k0, k0 + b)
         xbar_b = metrics(cols, Xb, X)
-        if not np.isfinite(residual[:, cols]).all():
-            # a non-finite state makes its residual non-finite; the converse
+        if not all(np.isfinite(series[:, cols]).all() for series in reported.values()):
+            # a non-finite state makes every series non-finite; the converse
             # need not hold, so the states decide
             bad = ~np.isfinite(Xb).all(axis=(2, 3))
             if bad.any():
@@ -469,16 +495,29 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar):
                     f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
                     f"state at iteration {k0 + i} of {T}", iteration=k0 + i, trial=t
                 )
-        if row.invariants:
+            if overflow is None:
+                # (b, trials, series): earliest iteration, lowest trial, first series
+                bad = np.stack([~np.isfinite(series[:, cols].T) for series in reported.values()],
+                               axis=-1)
+                i, t, s = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                name = list(reported)[s]
+                overflow = DivergenceError(
+                    f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
+                    f"{name} at iteration {k0 + i} of {T}", iteration=k0 + i, trial=int(t),
+                    series=name,
+                )
+        if diagnosed:
             S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
-                         _shift(xbar, xbar_b), xbar_b, S)
-        X, xbar = Xs[-1], xbar_b[-1]
+                         _shift(xbar[-1], xbar_b), xbar_b, S)
+        X, xbar = Xs[-1], xbar_b
     steps.close()  # frees the noise block
+    if overflow is not None:
+        raise overflow
 
-    return Trace(algorithm, T, residual, consensus, mean_err, step_norm, xstar, worst_seen)
+    return Trace(algorithm, T, *(reported.get(name) for name in _SERIES), xstar, worst_seen)
 
 
-def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err):
+def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err, residual_only):
     """Simulate one piece of an ensemble, the trials from index start on, under
     the numpy error settings err, and set its rendered to render(trace, start)
     when render is given. A pool worker runs a whole piece. _batched is read
@@ -487,7 +526,8 @@ def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err):
     index, for monte_carlo to choose the ensemble's first."""
     with np.errstate(**err):
         try:
-            trace = _batched(pr, W, sp, algorithm, T, seeds, xstar)
+            trace = _batched(pr, W, sp, algorithm, T, seeds, xstar,
+                             residual_only=residual_only)
         except DivergenceError as exc:
             exc.trial += start
             return exc
@@ -520,10 +560,13 @@ def monte_carlo(
     seed: int,
     jobs: int = 1,
     render: Callable | None = None,
+    residual_only: bool = False,
 ) -> Trace:
     """Simulate an ensemble. Row t of the Trace reproduces
     run(..., seed=trial_seed(seed, t)) exactly, whatever the chunking or job
-    count.
+    count. residual_only computes the residual alone, bit for bit the
+    residual of the full run: the Trace holds None for the other series and
+    {} for diagnostics, and no invariant is checked.
 
     The trials run in contiguous pieces, at least min(jobs, trials) of them
     and none longer than a `_chunk_size` chunk. The calling process runs the
@@ -534,13 +577,14 @@ def monte_carlo(
     of (piece's Trace, index of its first trial), runs on each piece in the
     process that simulated it; the returned Trace's rendered joins its
     results in trial order. A diverging ensemble raises the DivergenceError
-    of its earliest non-finite iteration, lowest trial first, as one batch
-    would.
+    of its earliest non-finite state, lowest trial first, as one batch would;
+    one whose states stay finite raises that of its earliest non-finite
+    reported series.
     """
     Wm, pieces = _ensemble(pr, W, sp, algorithm, T, trials, seed, pieces=jobs)
     xstar = optimum(pr)
     err = np.geterr()
-    tasks = [(pr, Wm, sp, algorithm, T, piece, xstar, start, render, err)
+    tasks = [(pr, Wm, sp, algorithm, T, piece, xstar, start, render, err, residual_only)
              for piece, start in zip(pieces, accumulate(map(len, pieces), initial=0))]
 
     workers = min(jobs, len(tasks)) - 1
@@ -558,5 +602,5 @@ def monte_carlo(
 
     diverged = [part for part in parts if isinstance(part, DivergenceError)]
     if diverged:
-        raise min(diverged, key=lambda exc: (exc.iteration, exc.trial))
+        raise min(diverged, key=lambda exc: (exc.series is not None, exc.iteration, exc.trial))
     return _join(parts)

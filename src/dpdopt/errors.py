@@ -27,13 +27,17 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """Raised when a simulated state leaves the finite floats. Not a
-    ValueError: the input was valid and the dynamic itself diverged.
+    """Raised when a simulated state, or a number reported of the run, leaves
+    the finite floats. Not a ValueError: the input was valid and the dynamic
+    itself diverged.
 
     iteration and trial, when the simulator sets them, place the first
-    non-finite state: its iteration and the trial's index in the ensemble."""
+    non-finite state: its iteration and the trial's index in the ensemble.
+    series, when set, names the reported series that is not finite there
+    while every state stays finite."""
 
-    def __init__(self, message, iteration=None, trial=None):
+    def __init__(self, message, iteration=None, trial=None, series=None):
         super().__init__(message)
         self.iteration = iteration
         self.trial = trial
+        self.series = series

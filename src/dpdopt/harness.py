@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .engine import _CONSTANT_STEP, _SERIES, ALGORITHMS, Trace, monte_carlo
-from .errors import ConfigError, ScheduleError
+from .errors import ConfigError, DivergenceError, ScheduleError
 from .objective import Problem, random_problem
 from .schedule import ScheduleParams, privacy_spent
 from .topology import WeightMatrix, connected_erdos_renyi, metropolis_weights, ring
@@ -278,6 +278,19 @@ def format_trace_csv(trace: Trace, start: int = 0) -> str:
     return text if start == 0 else text.partition("\n")[2]
 
 
+def require_finite(algorithm: str, fields: dict) -> None:
+    """Raise DivergenceError naming the first of fields, in order, that holds
+    a number that is not finite. A value is a number, a list of numbers or a
+    dict of them, whose entries are named field.key. The series a statistic
+    is taken over are finite, so such a statistic overflowed."""
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            require_finite(algorithm, {f"{name}.{key}": v for key, v in value.items()})
+        elif not np.isfinite(value).all():
+            raise DivergenceError(f"{algorithm}: {name} is not finite, though every "
+                                  f"residual it is taken over is")
+
+
 def summarize(cfg: ExperimentConfig, trace: Trace, trace_csv: str) -> dict:
     residuals = trace.residual
     finals = residuals[:, -1]
@@ -297,6 +310,8 @@ def summarize(cfg: ExperimentConfig, trace: Trace, trace_csv: str) -> dict:
         "converged": bool(finals.mean() < 1e-8),
         "trace_sha256": hashlib.sha256(trace_csv.encode("utf-8")).hexdigest(),
     }
+    require_finite(cfg.algorithm, {key: body[key] for key in
+                                   ("residual_mean", "residual_std", "final_residual")})
     body["content_hash"] = content_hash(body)
     return body
 

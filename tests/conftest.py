@@ -5,7 +5,9 @@ update rule (zero-sum auxiliary rows, the mean-state recursion, the unrolled
 running-sum form, gradient tracking) to 1e-12 at every step.  The engine
 already measures the worst violation per run; wrapping its batch kernel here
 enforces the bound on every run launched by any test in the suite, not just
-the ones that think to ask.
+the ones that think to ask. A residual-only run checks no invariant, so the
+gate runs its trajectory again in full, checks that run's invariants and
+requires the two residuals to be equal bit for bit.
 """
 
 import concurrent.futures
@@ -23,13 +25,17 @@ INVARIANT_TOL = 1e-12
 def invariant_gate():
     orig = engine._batched
 
-    def gated(*args):
-        trace = orig(*args)
-        for key, per_trial in trace.diagnostics.items():
+    def gated(*args, **kwargs):
+        trace = orig(*args, **kwargs)
+        full = orig(*args) if kwargs.get("residual_only") else trace
+        for key, per_trial in full.diagnostics.items():
             worst = float(per_trial.max())
             assert worst <= INVARIANT_TOL, (
                 f"{trace.algorithm}: {key} = {worst:.3e} exceeds {INVARIANT_TOL:g}"
             )
+        assert trace.residual.tobytes() == full.residual.tobytes(), (
+            f"{trace.algorithm}: the residual-only residual differs from the full run's"
+        )
         return trace
 
     engine._batched = gated

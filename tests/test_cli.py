@@ -5,6 +5,7 @@ captured output, exactly as a shell user would see it.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ import pytest
 import dpdopt
 from dpdopt import engine, privacy_eval
 from dpdopt.cli import cli
+
+cli_module = importlib.import_module("dpdopt.cli")  # dpdopt.cli is the function
 
 MAIN_CFG = """\
 topology.kind = ring
@@ -437,6 +440,58 @@ def test_outputs_do_not_depend_on_the_jobs(p, algorithm, chunk, tmp_path, capfd,
         assert more == [one, one]
 
 
+def compare_outputs(cfg, algorithms, jobs, capfd):
+    """Exit code, stdout and stderr of compare in each format (text, json,
+    csv)."""
+    outputs = []
+    for fmt in ([], ["--format", "json"], ["--format", "csv"]):
+        rc = cli(["compare", "--config", cfg, "--algorithms", algorithms, "--jobs", jobs, *fmt])
+        captured = capfd.readouterr()
+        outputs.append((rc, captured.out, captured.err))
+    return outputs
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_compare_reports_the_full_residual(p, trials, chunk, tmp_path, capfd, monkeypatch):
+    # compare asks the engine for the residual alone; every format, under
+    # --jobs 1 and 2 and in one-trial chunks, equals the output made from
+    # full Traces, and the Traces compare receives hold no other series, so
+    # a return to the full reduction fails here
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    received = []
+
+    def spy(*args, **kwargs):
+        received.append(engine.monte_carlo(*args, **kwargs))
+        return received[-1]
+
+    def full(*args, residual_only, **kwargs):
+        return engine.monte_carlo(*args, **kwargs)
+
+    groups = {
+        "alg1,dp-dgd,dgd-true-consensus,dgd-true-gradient": {},
+        "alg1-noiseless-constant,gt-noiseless,dgd-noiseless-constant":
+            {"schedule.gamma": 0.002, "schedule.beta": 500, "schedule.delta": 0},
+    }
+    for algorithms, schedule in groups.items():
+        cfg = tmp_path / "compare.cfg"
+        values = {"problem.p": p, "run.trials": trials, **schedule}
+        cfg.write_text(with_values(MAIN_CFG, values), encoding="utf-8")
+        monkeypatch.setattr(cli_module, "monte_carlo", full)
+        reference = compare_outputs(str(cfg), algorithms, "1", capfd)
+        assert {rc for rc, _, _ in reference} == {0}
+        monkeypatch.setattr(cli_module, "monte_carlo", spy)
+        for jobs in ("1", "2"):
+            assert compare_outputs(str(cfg), algorithms, jobs, capfd) == reference
+    assert len(received) == 2 * 3 * 7
+    for trace in received:
+        assert trace.residual.shape == (trials, 16)
+        assert (trace.consensus_err, trace.mean_err, trace.step_norm) == (None, None, None)
+        assert trace.diagnostics == {}
+
+
 @pytest.mark.parametrize(
     "jobs,trials,width",
     [(1, 5, None), (2, 5, 1), (3, 2, 1), (64, 3, 2)],
@@ -714,6 +769,101 @@ def test_divergence_line_does_not_depend_on_the_jobs(tmp_path, capfd, monkeypatc
         for jobs in ("1", "2", "3"):
             assert cli([*argv, "--jobs", jobs]) == 4
             assert capfd.readouterr() == one_batch
+
+
+OVERFLOW_CFG = """\
+topology.kind = erdos-renyi
+topology.n = 10
+topology.p_edge = 0.35
+topology.seed = 7
+problem.m = 2
+problem.p = 2
+problem.omega_min = 50
+problem.omega_max = 60
+problem.seed = 11
+schedule.gamma = 0.9
+schedule.beta = 1
+schedule.q1 = 0.97
+schedule.q2 = 0.99
+schedule.epsilon = 1
+schedule.delta = 1
+run.algorithm = dp-dgd
+run.iterations = 400
+run.trials = 26
+run.seed = 0
+"""
+
+
+def first_non_finite(text, series):
+    """(iteration, trial, name) of the first non-finite value of the named
+    series of the config text's ensemble, reduced step by step; None when
+    every value is finite."""
+    cfg = dpdopt.parse_config_text(text)
+    pr = dpdopt.build_problem(cfg)
+    xstar = dpdopt.optimum(pr)
+    seeds = [dpdopt.trial_seed(cfg.seed, t) for t in range(cfg.trials)]
+    steps = engine._trajectory(pr, dpdopt.build_graph(cfg).W, cfg.schedule, cfg.algorithm,
+                               cfg.iterations, seeds)
+    prev = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (X, *_) in enumerate(steps):
+            assert np.isfinite(X).all()  # the states stay finite
+            xbar = X.mean(axis=1)
+            values = {
+                "residual": np.add.reduce((X - xstar) ** 2, axis=(1, 2)),
+                "consensus_err": np.add.reduce((X - xbar[:, None]) ** 2, axis=(1, 2)),
+                "mean_err": np.add.reduce((xbar - xstar) ** 2, axis=1),
+                "step_norm": (np.zeros(len(X)) if prev is None
+                              else np.add.reduce((X - prev) ** 2, axis=(1, 2))),
+            }
+            for t in range(len(X)):
+                for name in series:
+                    if not np.isfinite(values[name][t]):
+                        return k, t, name
+            prev = X
+    return None
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "dp-dgd"])
+def test_overflowing_series_exits_four(algorithm, tmp_path, capfd, monkeypatch):
+    # gamma * omega ~ 50: the states grow to ~1e155 and shrink again once the
+    # stepsize has decayed, so they stay finite while the squared metrics
+    # overflow. run and compare name the first iteration, trial and series
+    # of their own output that is not finite, in one line, whatever the
+    # split. For dp-dgd run names a series compare does not report; for
+    # alg1 several series overflow at once, and the first in trace order
+    # is named
+    text = with_values(OVERFLOW_CFG, {"run.algorithm": algorithm})
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    seeds = [dpdopt.trial_seed(0, t) for t in range(26)]
+    expected = {}
+    for command, series in (("run", engine._SERIES), ("compare", ("residual",))):
+        k, t, name = first_non_finite(text, series)
+        expected[command] = (f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
+                             f"{name} at iteration {k} of 400\n")
+    for chunk in (None, 1):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+        for jobs in ("1", "2", "3"):
+            for argv in (["run"], ["compare", "--algorithms", algorithm, "--format", "json"]):
+                assert cli([argv[0], "--config", str(cfg), "--jobs", jobs, *argv[1:]]) == 4
+                assert capfd.readouterr() == ("", expected[argv[0]])
+
+
+def test_overflowing_statistic_exits_four(tmp_path, capsys):
+    # at 100 iterations every series is finite, but the largest residuals
+    # are near 1e288, so their spread over the trials overflows; the line
+    # names the output field. dp-dgd has no invariant, so the suite's gate
+    # checks none on these states
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(with_values(OVERFLOW_CFG, {"run.iterations": 100}), encoding="utf-8")
+    assert first_non_finite(cfg.read_text(encoding="utf-8"), engine._SERIES) is None
+    for argv, field in ((["run", "--format", "json"], "residual_std"),
+                        (["compare", "--algorithms", "dp-dgd"], "final_residual_std")):
+        assert cli([argv[0], "--config", str(cfg), *argv[1:]]) == 4
+        assert capsys.readouterr() == (
+            "", f"dp-dgd: {field} is not finite, though every residual it is taken over is\n")
 
 
 def test_empty_output_flag_exits_two(tmp_path, capsys):

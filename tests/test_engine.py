@@ -17,6 +17,7 @@ from dpdopt import (
     monte_carlo,
     noise_scale,
     optimum,
+    random_problem,
     run,
     stepsize,
     substream,
@@ -150,13 +151,55 @@ def test_ensemble_pieces(setup, monkeypatch, trials, chunk, jobs):
 def test_pool_shuts_down_when_a_piece_raises(setup, monkeypatch, inline_pool):
     pr, wm, sp = setup
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise MemoryError("no room for the noise block")
 
     monkeypatch.setattr(engine, "_batched", failing)
     with pytest.raises(MemoryError):
         monte_carlo(pr, wm.W, sp, "alg1", 5, trials=4, seed=3, jobs=2)
     assert [(pool.max_workers, pool.tasks, pool.shut) for pool in inline_pool] == [(1, 1, True)]
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_residual_only_trace(p, chunk, er10, monkeypatch, inline_pool):
+    # a residual-only ensemble holds the full run's residual bit for bit and
+    # nothing else, however its trials are chunked and split over jobs
+    _, wm = er10
+    pr = random_problem(10, 3, p, (0.5, 1.5), seed=0)
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    for algorithm in ALGORITHMS:
+        sp = NOISELESS if algorithm in engine._CONSTANT_STEP else replace(NOISELESS, delta=1.0)
+        for jobs in (1, 3):
+            full = monte_carlo(pr, wm.W, sp, algorithm, 12, trials=5, seed=8, jobs=jobs)
+            lean = monte_carlo(pr, wm.W, sp, algorithm, 12, trials=5, seed=8, jobs=jobs,
+                               residual_only=True)
+            assert lean.residual.tobytes() == full.residual.tobytes()
+            assert lean.residual.flags.c_contiguous
+            assert (lean.consensus_err, lean.mean_err, lean.step_norm) == (None, None, None)
+            assert lean.diagnostics == {}
+
+
+def test_state_divergence_outranks_series_overflow(setup, monkeypatch):
+    # one batch raises at its first non-finite state at once, and only a run
+    # whose states all stay finite reports an overflowing series, at its
+    # end; so a split ensemble raises a piece's state divergence before an
+    # earlier series overflow of another piece
+    pr, wm, sp = setup
+    errors = {0: DivergenceError("series", iteration=3, trial=0, series="residual"),
+              1: DivergenceError("state", iteration=9, trial=0),
+              2: DivergenceError("later state", iteration=9, trial=0)}
+    seeds = engine._trial_seeds(3, 3)
+
+    def raising(pr, W, sp, algorithm, T, piece, *args, **kwargs):
+        raise errors[seeds.index(piece[0])]
+
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: 1)
+    monkeypatch.setattr(engine, "_batched", raising)
+    with pytest.raises(DivergenceError, match="^state$") as caught:
+        monte_carlo(pr, wm.W, sp, "alg1", 20, trials=3, seed=3)
+    assert caught.value.trial == 1
 
 
 def test_trace_metric_definitions(setup):

@@ -339,7 +339,8 @@ def test_format_csv_cell_rule(small_run, monkeypatch):
     chunks = []
     batched = engine._batched
     monkeypatch.setattr(engine, "_chunk_size", lambda *args: 3)
-    monkeypatch.setattr(engine, "_batched", lambda *args: chunks.append(1) or batched(*args))
+    monkeypatch.setattr(engine, "_batched",
+                        lambda *args, **kwargs: chunks.append(1) or batched(*args, **kwargs))
     trace = monte_carlo(
         pr, wm, cfg.schedule, cfg.algorithm, cfg.iterations, cfg.trials, cfg.seed
     )

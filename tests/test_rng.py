@@ -157,6 +157,17 @@ def test_batched_trial_seeds_match_trial_seed(seed):
     assert _trial_seeds(seed, 501) == [trial_seed(seed, t) for t in range(501)]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1])
+def test_trial_seeds_are_the_bounded_draw(seed):
+    # trial seeds read each stream's first raw word; numpy's bounded draw on
+    # [0, 2**63) gives the same integers
+    want = [int(substream(seed, "trial", t).integers(2**63)) for t in range(4096)]
+    got = _trial_seeds(seed, 4096)
+    assert got == want
+    assert all(type(value) is int for value in got)
+    assert [trial_seed(seed, t) for t in range(4096)] == want
+
+
 @pytest.mark.parametrize("seed", [2**64, 2**96 + 5])
 def test_trial_seeds_beyond_64_bits(seed):
     want = [int(_oracle((seed, "trial", t)).integers(2**63)) for t in range(40)]
