@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -301,7 +302,11 @@ _JOBS_HELP = ("processes to split the trials over, the calling one included; "
              "the output is the same for every N")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The `dpdopt` argument parser, built at the first `cli()` call and then
+    shared: parsing leaves it as it was, and building it takes far longer
+    than a parse."""
     parser = argparse.ArgumentParser(
         prog="dpdopt",
         description="simulate and analyze differentially private distributed optimization",

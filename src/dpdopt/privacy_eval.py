@@ -209,27 +209,64 @@ def _settle_end(s, a, r, end, out, grow, shrink):
             return end
 
 
-def _marginal_counts(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Number of rows j with max|a_j - a_i| <= r_i, for each row i.
+def _sorted_counts(s: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Number of j with |s_j - a_i| <= r_i, for each i, on sorted values s.
 
-    The same count as `cKDTree(a).query_ball_point(a, r, p=inf,
-    return_length=True)`, including the point itself. One column is counted
-    on the sorted values s: fl(s_j - a_i) is monotone in s_j, so the rows
-    that pass the tree's predicate |s_j - a_i| <= r_i form a contiguous run
-    of s that holds a_i. `searchsorted` on a_i -/+ r_i finds the run up to
-    rounding, and a short fix-up re-testing the predicate settles its ends.
+    fl(s_j - a_i) is monotone in s_j, so the values that pass form a
+    contiguous run of s that holds a_i. `searchsorted` on a_i -/+ r_i finds
+    the run up to rounding, and a short fix-up re-testing the predicate
+    settles its ends.
     """
-    if a.shape[1] != 1:
-        _load_scipy()
-        return cKDTree(a).query_ball_point(a, r, p=np.inf, return_length=True)
-    a = a[:, 0]
-    s = np.sort(a)
     lo = _settle_end(s, a, r, np.searchsorted(s, a - r, side="left"), -1, "left", "right")
     hi = _settle_end(s, a, r, np.searchsorted(s, a + r, side="right"), 0, "right", "left")
     return hi - lo
 
 
-def _knn_radius(s: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+def _marginal_counts(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Number of rows j with max|a_j - a_i| <= r_i, for each row i.
+
+    The same count as `cKDTree(a).query_ball_point(a, r, p=inf,
+    return_length=True)`, including the point itself. One column is counted
+    on its sorted values (`_sorted_counts`).
+    """
+    if a.shape[1] != 1:
+        _load_scipy()
+        return cKDTree(a).query_ball_point(a, r, p=np.inf, return_length=True)
+    a = a[:, 0]
+    return _sorted_counts(np.sort(a), a, r)
+
+
+def _window(v: np.ndarray, w: int, rows=slice(None)) -> np.ndarray:
+    """|v_j - v_i| for j = i - w - 1, ..., i + w + 1 and each row i of sorted
+    v (every row, or `rows`), one line per offset; infinite past the ends of v.
+
+    The 2w + 1 middle lines are the row's window and the first and last its
+    gaps to the rows just past either end: fl(v_i - v_j) = -fl(v_j - v_i),
+    so these are the distances the kd-tree computes.
+    """
+    pad = np.full(w + 1, np.inf)
+    lines = sliding_window_view(np.concatenate([-pad, v, pad]), len(v))
+    return np.abs(lines[:, rows] - v[rows])
+
+
+def _window_counts(v: np.ndarray, dist: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Number of rows j with |v_j - v_i| <= r_i, for each row i of sorted v,
+    from every row's `_window` `dist`.
+
+    fl(v_j - v_i) is monotone in v_j, so when the row just past each end of
+    a window fails the predicate, so does every row further out, and the
+    window holds all the rows that pass. Rows whose run reaches past their
+    window are counted on v itself (`_sorted_counts`).
+    """
+    passed = dist <= r
+    counts = np.count_nonzero(passed, axis=0)
+    spill = np.flatnonzero(passed[0] | passed[-1])
+    if len(spill):
+        counts[spill] = _sorted_counts(v, v[spill], r[spill])
+    return counts
+
+
+def _knn_radius(s: np.ndarray, t: np.ndarray, k: int, near: tuple | None = None) -> np.ndarray:
     """Each row's max-norm distance to its k-th neighbour in the plane (s, t),
     for s sorted: the same value as `cKDTree(joint).query(joint, k + 1,
     p=inf)[0][:, k]`, bit for bit.
@@ -240,30 +277,46 @@ def _knn_radius(s: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     fl(s_i - s_j) is monotone in s_j, so no row past either end of the
     window is nearer than the gap in s to the first one past it; a bound
     within both gaps is the radius. Windows of w = k, then w = 4k, settle
-    most rows, and one kd-tree query settles the rest.
+    most rows, and one kd-tree query settles the rest. When the w = k
+    windows settle fewer than one row in 32, s and t are spread so alike
+    that the w = 4k windows would settle too few rows to repay their cost
+    (measured on the attacker view's data), and the open rows go to the
+    tree at once.
+
+    `near` holds the w = k `_window` of s and of t, when the caller has them.
     """
     n = len(s)
     radius = np.empty(n)
     rows = np.arange(n)
-    for w in (k, min(4 * k, n - 1)):
-        # padding past both ends: infinite gaps, infinitely far neighbours
-        pad = np.full(w + 1, np.inf)
-        sp = np.concatenate([-pad, s, pad])
-        tp = np.concatenate([pad, t, pad])
-        d = np.maximum(
-            np.abs(sliding_window_view(sp[1:-1], 2 * w + 1)[rows] - s[rows, None]),
-            np.abs(sliding_window_view(tp[1:-1], 2 * w + 1)[rows] - t[rows, None]),
-        )
-        bound = np.partition(d, k, axis=1)[:, k]
-        settled = (bound <= s[rows] - sp[rows]) & (bound <= sp[rows + 2 * w + 2] - s[rows])
+    ds, dt = near if near is not None else (_window(s, k), _window(t, k))
+    for wider in (min(4 * k, n - 1), None):
+        bound = np.partition(np.maximum(ds[1:-1], dt[1:-1]).T, k, axis=1)[:, k]
+        settled = (bound <= ds[0]) & (bound <= ds[-1])
         radius[rows[settled]] = bound[settled]
         rows = rows[~settled]
         if not len(rows):
             return radius
+        if wider is None or 32 * len(rows) > 31 * n:
+            break
+        ds, dt = _window(s, wider, rows), _window(t, wider, rows)
     _load_scipy()
     joint = np.column_stack([s, t])
     radius[rows] = cKDTree(joint).query(joint[rows], k=k + 1, p=np.inf)[0][:, k]
     return radius
+
+
+@functools.lru_cache(maxsize=8)
+def _digamma_table(n: int) -> np.ndarray:
+    """digamma(0), ..., digamma(n): psi of every count among n samples.
+
+    Indexing it with integer counts gives the bits of digamma evaluated on
+    them, since digamma converts an integer to the same float. Read-only,
+    because every call with n samples shares it.
+    """
+    _load_scipy()
+    table = digamma(np.arange(n + 1, dtype=float))
+    table.flags.writeable = False
+    return table
 
 
 def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
@@ -278,11 +331,15 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
     When both marginals have one column, the points are sorted on the
     coordinate with the wider spread, and the radius comes from windows of
     sorted neighbours (`_knn_radius`); rows a window cannot settle go to a
-    kd-tree query. The marginals are counted on sorted values
-    (`_marginal_counts`). Wider marginals use a kd-tree for the radius and
-    kd-tree range queries for the counts. Either way every radius and count
-    equals the kd-tree's bit for bit, so the value does not depend on the
-    path. Slightly negative outputs are possible; callers clamp where needed.
+    kd-tree query. The sorted coordinate's counts come from each row's
+    w = k window (`_window_counts`), and so do the other coordinate's when
+    it is sorted in the same order, as in I(V, V); rows whose run reaches
+    past the window, and an unsorted other coordinate, are counted on
+    sorted values (`_sorted_counts`). Wider marginals use a kd-tree for the
+    radius and kd-tree range queries for the counts. Either way every
+    radius and count equals the kd-tree's bit for bit, so the value does
+    not depend on the path. Slightly negative outputs are possible; callers
+    clamp where needed.
     """
     xs = _as_samples(xs)
     ys = _as_samples(ys)
@@ -305,17 +362,25 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
         if np.ptp(ys) > np.ptp(xs):
             xs, ys = ys, xs  # the estimate is symmetric; sort on the wider spread
         order = np.argsort(xs[:, 0])
-        xs, ys = xs[order], ys[order]
-        radius = _knn_radius(xs[:, 0], ys[:, 0], k_neighbors)
+        s, t = xs[order, 0], ys[order, 0]
+        near = _window(s, k_neighbors), _window(t, k_neighbors)
+        radius = np.maximum(_knn_radius(s, t, k_neighbors, near) - 1e-15, 0.0)
+        nx = _window_counts(s, near[0], radius)
+        if np.all(t[:-1] <= t[1:]):
+            ny = _window_counts(t, near[1], radius)
+        else:
+            ny = _sorted_counts(np.sort(t), t, radius)
     else:
         order = np.arange(n)
         joint = np.hstack([xs, ys])
         radius = cKDTree(joint).query(joint, k=k_neighbors + 1, p=np.inf)[0][:, k_neighbors]
-    radius = np.maximum(radius - 1e-15, 0.0)
+        radius = np.maximum(radius - 1e-15, 0.0)
+        nx, ny = _marginal_counts(xs, radius), _marginal_counts(ys, radius)
 
     # the mean runs in the samples' own order, so its rounding is the same on both paths
+    table = _digamma_table(n)
     psi = np.empty(n)
-    psi[order] = digamma(_marginal_counts(xs, radius)) + digamma(_marginal_counts(ys, radius))
+    psi[order] = table[nx] + table[ny]
     return float(digamma(k_neighbors) + digamma(n) - np.mean(psi))
 
 

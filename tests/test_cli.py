@@ -925,6 +925,45 @@ def test_mnmi_sample_count_names_its_source(source, tmp_path, monkeypatch, capsy
         "", f"{source}: need at least 50 samples, got 40\n")
 
 
+def test_shared_parser_gives_a_fresh_parsers_outputs(main_cfg, mnmi_cfg, capsys, monkeypatch):
+    calls = (
+        ["run", "--config", main_cfg, "--bogus"],
+        ["run", "--config", main_cfg, "--format", "json"],
+        ["audit", "--config", main_cfg, "--trials", "3", "--format", "json"],
+        ["mnmi", "--config", mnmi_cfg, "--format", "json"],
+        ["compare", "--config", main_cfg, "--algorithms", "alg1,dp-dgd", "--format", "csv"],
+    )
+
+    def outputs():
+        results = []
+        for argv in calls:
+            status = cli(argv)
+            results.append((status, capsys.readouterr()))
+        return results
+
+    shared = outputs()
+    assert cli_module._build_parser() is cli_module._build_parser()
+    monkeypatch.setattr(cli_module, "_build_parser", cli_module._build_parser.__wrapped__)
+    assert outputs() == shared
+    assert [status for status, _ in shared] == [2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in shared[0][1].err
+
+
+def test_parser_is_built_at_the_first_call():
+    src = os.path.dirname(os.path.dirname(dpdopt.__file__))
+    script = ("import contextlib, importlib, io\n"
+              "c = importlib.import_module('dpdopt.cli')\n"
+              "built = c._build_parser.cache_info().currsize\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    c.cli(['tune', '--epsilon', '1', '--delta', '1', '--mu', '1', '--L', '2',"
+              " '--n', '2', '--p', '1', '--restarts', '1'])\n"
+              "print(built, c._build_parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1\n"
+
+
 def test_python_dash_m_entry_point():
     src = os.path.dirname(os.path.dirname(dpdopt.__file__))
     env = dict(os.environ, PYTHONPATH=src)

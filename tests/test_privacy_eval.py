@@ -21,7 +21,13 @@ from dpdopt import (
 )
 from dpdopt.engine import _trajectory
 from dpdopt import privacy_eval
-from dpdopt.privacy_eval import _knn_radius, _marginal_counts
+from dpdopt.privacy_eval import (
+    _digamma_table,
+    _knn_radius,
+    _marginal_counts,
+    _window,
+    _window_counts,
+)
 from dpdopt.rng import substream
 
 
@@ -199,6 +205,140 @@ def test_knn_radius_equals_kdtree(case, k, monkeypatch):
     if case == "correlated":
         # the windows leave rows open, and the kd-tree settles them
         assert sum(fallback) > 0
+
+
+def test_dense_rows_skip_the_wider_windows(monkeypatch):
+    widths, fallback = [], []
+    window, tree = privacy_eval._window, privacy_eval.cKDTree
+
+    def spy(v, w, rows=slice(None)):
+        widths.append((w, len(v[rows])))
+        return window(v, w, rows)
+
+    class Recorder(tree):
+        def query(self, x, *args, **kwargs):
+            fallback.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(privacy_eval, "_window", spy)
+    monkeypatch.setattr(privacy_eval, "cKDTree", Recorder)
+    # with s and t spread alike the w = k windows settle fewer than one row
+    # in 32, and the rest go to the kd-tree without a w = 4k pass
+    points = _radius_case("correlated", np.random.default_rng(13))
+    points = points[np.argsort(points[:, 0])]
+    got = _knn_radius(points[:, 0], points[:, 1], 3)
+    assert np.array_equal(got, tree(points).query(points, k=4, p=np.inf)[0][:, 3])
+    assert widths == [(3, 2000), (3, 2000)] and fallback == [1998]
+    # rows left open by the w = k windows, a few or most, get the wider ones
+    for case, k, still_open in (("near-1e3", 3, 55), ("integer-grid", 1, 339)):
+        widths.clear()
+        points = _radius_case(case, np.random.default_rng(13))
+        points = points[np.argsort(points[:, 0])]
+        _knn_radius(points[:, 0], points[:, 1], k)
+        assert widths == [(k, 400), (k, 400), (4 * k, still_open), (4 * k, still_open)]
+
+
+def _count_case(case, rng):
+    """Sorted values and radii for the window counts."""
+    if case == "co-sorted":
+        # V against V plus its own jitter, the denominator's other coordinate
+        v = np.sort(rng.standard_normal(400))
+        v = v + substream(0, "mi-jitter").uniform(-1e-10, 1e-10, 400)
+        return v, np.abs(rng.standard_normal(400)) * 0.01
+    if case == "spill-one-side":
+        # gaps that grow by 5 % a row: a run of 4 gaps' width holds 4 rows
+        # below a row and 3 above it, so it spills past a w = 3 window below only
+        gaps = 1.05 ** np.arange(200)
+        r = 4.0 * gaps
+        r[::5] *= 0.1
+        return np.cumsum(gaps), r
+    if case == "spill-both-sides":
+        v = np.sort(rng.standard_normal(400))
+        r = np.full(400, 1e-3)
+        r[100:300:7] = 0.5
+        return v, r
+    if case == "radii-16-and-up":
+        # r - 1e-15 rounds back to r, and r equals the gap to many rows
+        v = np.sort(rng.integers(0, 2000, 400)).astype(float)
+        r = rng.integers(17, 40, 400).astype(float)
+        assert np.array_equal(np.maximum(r - 1e-15, 0.0), r)
+        return v, r
+    if case == "repeated":
+        v = np.repeat(np.sort(rng.standard_normal(160)), [1, 2, 4, 3] * 40)[:400]
+        r = np.abs(rng.standard_normal(400)) * 0.01
+        r[::3] = 0.0
+        return v, r
+    # zero radii: only a row's own copies pass
+    return np.repeat(np.sort(rng.standard_normal(100)), [1, 2, 3, 6] * 25), np.zeros(300)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["co-sorted", "spill-one-side", "spill-both-sides", "radii-16-and-up", "repeated", "zero"],
+)
+@pytest.mark.parametrize("w", [1, 3])
+def test_window_counts_equal_kdtree(case, w, monkeypatch):
+    v, r = _count_case(case, np.random.default_rng(17))
+    spilled = []
+    sorted_counts = privacy_eval._sorted_counts
+
+    def spy(s, a, r):
+        spilled.append(len(a))
+        return sorted_counts(s, a, r)
+
+    monkeypatch.setattr(privacy_eval, "_sorted_counts", spy)
+    got = _window_counts(v, _window(v, w), r)
+    assert np.array_equal(got, _tree_counts(v[:, None], r))
+    # some rows were counted inside their window and some spilled past it
+    assert 0 < sum(spilled) < len(v)
+
+
+def _mi_case(case, rng):
+    if case == "co-sorted":
+        v = rng.standard_normal(500)
+        return v, v
+    if case == "unsorted":
+        x = rng.standard_normal(500)
+        return x, x + 0.5 * rng.standard_normal(500)
+    if case == "radii-16-and-up":
+        # every radius is above 180, where r - 1e-15 rounds back to r
+        x = rng.integers(0, 40000, 500).astype(float)
+        return x, x + rng.integers(-2000, 2000, 500)
+    # repeated values: many radii shrink to 0 after the jitter
+    x = np.repeat(rng.standard_normal(50), 10)
+    return x, np.repeat(rng.standard_normal(50), 10)
+
+
+@pytest.mark.parametrize("case", ["co-sorted", "unsorted", "radii-16-and-up", "repeated"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_window_counted_mi_equals_kdtree(case, k, monkeypatch):
+    x, y = _mi_case(case, np.random.default_rng(23))
+    spilled, windowed = [], []
+    window_counts, sorted_counts = privacy_eval._window_counts, privacy_eval._sorted_counts
+
+    def count_windows(v, dist, r):
+        before = len(spilled)
+        counts = window_counts(v, dist, r)
+        windowed.append(sum(spilled[before:]))  # the rows that spilled past their window
+        return counts
+
+    monkeypatch.setattr(privacy_eval, "_window_counts", count_windows)
+    monkeypatch.setattr(privacy_eval, "_sorted_counts",
+                        lambda s, a, r: spilled.append(len(a)) or sorted_counts(s, a, r))
+    assert knn_mutual_information(x, y, k) == _kdtree_mi(x, y, k)
+    # V with V counts both coordinates in the windows; an unsorted one is counted whole
+    assert len(windowed) == (2 if case == "co-sorted" else 1)
+    if case != "co-sorted":
+        # some rows were counted inside their window and some spilled past it
+        assert 0 < windowed[0] < len(x)
+
+
+def test_digamma_table_is_digamma_of_the_counts():
+    table = _digamma_table(300)
+    counts = np.arange(1, 301)
+    assert np.array_equal(table[counts], digamma(counts))
+    assert not table.flags.writeable
+    assert _digamma_table(300) is table
 
 
 def _kdtree_mi(xs, ys, k=3):
