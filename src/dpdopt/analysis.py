@@ -10,10 +10,12 @@ divides by the noise scale. The audit takes its checks, trial seeds and
 chunks from the engine's `_ensemble`, as the simulator does, and replays
 each chunk of the simulator's trials in turn: it draws the chunk's streams
 through the engine's `_draw_streams` once, its noise already transformed,
-for every audited dynamic. Each replay steps the two runs together as one
-(2, trials, n, p) batch through the engine's `_obs_step`, one call per step:
-the problem it passes is the base problem with the two problems' linear
-terms stacked, so the transcript's products are computed once for both.
+for every audited dynamic, the rows that are not constant. Each replay is
+one run of the engine's `_trajectory`, the simulator's generator, on those
+streams and on `_stacked(pair)`, the base problem with the two problems'
+linear terms stacked: the two runs step together as the (2, trials, n, p)
+members of its states, one kernel call per step, and the transcript's
+products are computed once for both. `_replay` only reduces the yields.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (_DYNAMICS, _check_finite, _draw_streams, _ensemble, _obs_step,
-                     _schedule_arrays)
-from .engine import trial_seed  # noqa: F401  (perfbench/tracing.py patches it)
+from .engine import _DYNAMICS, _draw_streams, _ensemble, _schedule_arrays, _trajectory
+from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
 from .errors import ScheduleError
 from .objective import AdjacentPair, _stacked
 from .rng import substream
@@ -47,8 +48,7 @@ __all__ = [
     "tune",
 ]
 
-# the noisy rows that read no previous gradient, since _replay passes none
-AUDIT_ALGORITHMS = tuple(a for a, row in _DYNAMICS.items() if not (row.constant or row.tracking))
+AUDIT_ALGORITHMS = tuple(a for a, row in _DYNAMICS.items() if not row.constant)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
     for seeds in chunks:
         streams = _draw_streams(seeds, T, n, p, nus if sp.delta > 0.0 else None)
         for alg in algorithms:
-            parts[alg].append(_replay(stacked, pair.i0, alg, Wm, sp, alphas, seeds, streams))
+            parts[alg].append(_replay(stacked, pair.i0, alg, Wm, sp, T, seeds, streams))
     return {
         alg: SensitivityEnvelope(
             algorithm=alg,
@@ -136,39 +136,28 @@ def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
     }
 
 
-def _replay(stacked, i0, algorithm, Wm, sp, alphas, seeds, streams):
-    """Replay one dynamic on the adjacent pair for the T = len(alphas)
-    stepsizes alphas over the trial streams of seeds, the (X0, noise) that
-    _draw_streams drew for them; stacked is `_stacked(pair)`. Returns the
-    per-k maximum over these trials of the L1 state gap and the largest gap
-    on a row other than i0.
+def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
+    """Replay one dynamic on the adjacent pair for T steps over the trial
+    streams of seeds, the (X0, noise) that _draw_streams drew for them;
+    stacked is `_stacked(pair)`. Returns the per-k maximum over these trials
+    of the L1 state gap and the largest gap on a row other than i0.
 
-    The base and the perturbed run step together as one (2, trials, n, p)
-    state, member 0 the base run, through one _obs_step call per step. The
-    base run's observation Z = X[0] + Xi (X[0] when noiseless) is the shared
-    transcript both members consume, so W @ Z and any product with Z are
-    computed once per step. Member 0 is bit for bit the simulator's
-    trajectory of the base problem, and its non-finite final state raises
-    the simulator's DivergenceError.
+    The pair steps as the two members of the engine's `_trajectory` on
+    stacked, member 0 the base run, whose observations both members consume:
+    member 0 is bit for bit the simulator's trajectory of the base problem,
+    and its non-finite final state raises the simulator's DivergenceError.
     """
-    T = len(alphas)
-    X0, noise = streams
-    X = np.stack((X0, X0))
-    Y = np.zeros_like(X)
-
     gaps = np.empty((len(seeds), T))
     off_target = 0.0
-    for idx in range(T):
-        Z = X[0] if noise is None else X[0] + noise[:, idx]
-        # no audited dynamic reads the previous gradient, so none is passed
-        X, Y, _ = _obs_step(algorithm, X, Y, None, Z, Wm, stacked, alphas[idx], sp.beta)
+    steps = _trajectory(stacked, Wm, sp, algorithm, T, seeds, streams)
+    next(steps)
+    for idx, (X, *_) in enumerate(steps):
         D = np.subtract(X[0], X[1])
         np.abs(D, out=D)
         gaps[:, idx] = D.sum(axis=(1, 2))
         # the gaps are >= 0 (or NaN), so a zeroed row i0 leaves the others' max
         D[:, i0] = 0.0
         off_target = max(off_target, float(D.max()))
-    _check_finite(algorithm, X[0], seeds, T)
     return gaps.max(axis=0), off_target
 
 

@@ -54,9 +54,6 @@ def _inputs(args):
 
 
 def _cmd_run(args) -> tuple[int, str]:
-    for flag, path in (("--trace", args.trace), ("--summary", args.summary)):
-        if path == "":
-            raise ValueError(f"{flag}: must not be empty")
     cfg = harness.load_config(args.config)
     summary = harness.run_experiment(
         cfg, jobs=args.jobs, trace_path=args.trace, summary_path=args.summary
@@ -393,6 +390,10 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # an empty output path is rejected, not read as "none given"
+        for flag in ("trace", "summary", "out", "dataset"):
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag}: must not be empty")
         # a diverging run overflows on its way to the DivergenceError, which
         # is the report; numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):

@@ -28,10 +28,12 @@ the arguments, converts W once, derives the trial seeds and splits them into
 `_chunk_size` chunks, and the simulator's chunks further into pieces, one per
 job. They all draw a chunk's trial streams through `_draw_streams`, which
 returns its initial states and its noise already Laplace-transformed, one
-transform per chunk however many dynamics read it. The simulator and the
-attacker view step through one generator, `_trajectory`, which owns the
-streams, the schedule and the kernel call; the audit steps each adjacent pair
-as one stacked batch through `_obs_step`, the kernel call `_trajectory` makes.
+transform per chunk however many dynamics read it. The simulator, the
+sensitivity audit and the attacker view all step through one generator,
+`_trajectory`, which owns the streams, the schedule, the observations and the
+kernel call. The audit steps each adjacent pair as one run of it on a
+`_stacked` problem, whose states carry a leading member axis, every member
+stepping on member 0's observations.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
@@ -145,10 +147,10 @@ def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float
     """Advance one iteration given the previous step's G and the shared
     observation matrix Z; returns (X, Y, G).
 
-    This is the single source of truth for every dynamic. `_trajectory`
-    steps every simulated trajectory through it, and the sensitivity audit
-    steps its base and perturbed runs through it too, as one (2, trials, n,
-    p) batch on the base run's Z, which keeps the untouched agents bitwise
+    This is the single source of truth for every dynamic, and `_trajectory`
+    makes its one call: for the simulator, the attacker view and the
+    sensitivity audit, whose base and perturbed runs step as one (2, trials,
+    n, p) batch on the base run's Z, which keeps the untouched agents bitwise
     identical across the pair.
     """
     return _DYNAMICS[algorithm].kernel(X, Y, G, Z, W, pr, a_k, beta)
@@ -268,9 +270,9 @@ def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials
 
 def _draw_streams(seeds, T: int, n: int, p: int, nus):
     """The streams of the trials whose seeds are seeds, which `_trajectory`
-    and the audit's replay step through: the (trials, n, p) initial states
-    and, given the noise scales nus of iterations 1..T, the read-only
-    (trials, T, n, p) Laplace noise block (None when nus is None).
+    steps through: the (trials, n, p) initial states and, given the noise
+    scales nus of iterations 1..T, the read-only (trials, T, n, p) Laplace
+    noise block (None when nus is None).
 
     Trial seed s owns substream(s, "init"), which draws its initial state,
     and substream(s, "noise"), whose row k - 1 drives iteration k through
@@ -293,23 +295,13 @@ def _draw_streams(seeds, T: int, n: int, p: int, nus):
     return X, noise
 
 
-def _check_finite(algorithm: str, X, seeds, T: int) -> None:
-    """Raise DivergenceError naming the first trial of the (trials, n, p)
-    final states X that is not finite after T iterations."""
-    finite = np.isfinite(X).all(axis=(1, 2))
-    if not finite.all():
-        raise DivergenceError(
-            f"{algorithm} diverged: trial seed {seeds[int(np.argmin(finite))]} "
-            f"has a non-finite state after {T} iterations"
-        )
-
-
-def _trajectory(pr, W, sp, algorithm, T, seeds):
+def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
     """Step len(seeds) trials of one dynamic together, yielding
     (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches. W is an array.
 
-    The trial streams are `_draw_streams`'s; a noiseless run (a constant
-    dynamic, or delta = 0) draws no noise stream.
+    The trial streams are `_draw_streams`'s, or streams, the (X0, noise) it
+    already drew for seeds; a noiseless run (a constant dynamic, or delta =
+    0) draws no noise stream.
 
     k = 0 yields the initial state, Y(0) and G(0) (zero and None, except for
     a tracking dynamic, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
@@ -317,28 +309,39 @@ def _trajectory(pr, W, sp, algorithm, T, seeds):
     the observation Z = X(k-1) + Xi it consumed and the noise Xi, a
     read-only view of the noise block (None, with Z = X(k-1), when
     noiseless). Yielded arrays are never written again.
-    A trial whose final state is not finite raises DivergenceError once the
-    last step has been consumed.
+
+    pr may be `_stacked`: its gradients carry a leading member axis, (m,
+    trials, n, p), and so does every state after the shared X(0). Every
+    member steps on member 0's observation, Z = X(k-1)[0] + Xi, so the
+    members share one transcript and the products with it.
+    A trial whose final state (member 0's) is not finite raises
+    DivergenceError once the last step has been consumed.
     """
     row = _DYNAMICS[algorithm]
     alphas, nus = _schedule_arrays(sp, T, row.constant)
     noisy = not row.constant and sp.delta > 0.0
-    X, noise = _draw_streams(seeds, T, pr.n, pr.p, nus if noisy else None)
+    X, noise = streams or _draw_streams(seeds, T, pr.n, pr.p, nus if noisy else None)
     G = pr.gradients(X) if row.tracking else None
     Y = np.zeros_like(X) if G is None else G
     Z = Xi = None
     yield X, Y, G, Z, Xi
 
     for idx, a_k in enumerate(alphas.tolist()):
+        base = X if X.ndim == 3 else X[0]
         if noisy:
             Xi = noise[:, idx]
-            Z = X + Xi
+            Z = base + Xi
         else:
-            Z = X
+            Z = base
         X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, a_k, sp.beta)
         yield X, Y, G, Z, Xi
 
-    _check_finite(algorithm, X, seeds, T)
+    finite = np.isfinite(X if X.ndim == 3 else X[0]).all(axis=(1, 2))
+    if not finite.all():
+        raise DivergenceError(
+            f"{algorithm} diverged: trial seed {seeds[int(np.argmin(finite))]} "
+            f"has a non-finite state after {T} iterations"
+        )
 
 
 # Byte budget of one stacked block of states: _batched reduces the metrics and

@@ -26,6 +26,7 @@ from dpdopt import (
 )
 from dpdopt import engine
 from dpdopt.engine import _obs_step, _trajectory
+from dpdopt.objective import _stacked
 from dpdopt.rng import draw_rows
 
 
@@ -58,8 +59,9 @@ def test_audit_envelope_equals_bound_for_dpdgd(audit_setup):
 def two_call_replay(pair, algorithm, W, sp, T, seeds, Zs):
     """The coupled replay as two separate runs on one batch of trials: the
     base and the perturbed problem each step through _obs_step on the shared
-    observations Zs[k]. Returns the base states after each step, the per-k
-    maximum over trials of the L1 gap and the largest gap off row i0."""
+    observations Zs[k] (the base run's own states when Zs is None). Returns
+    the (base, perturbed) states after each step, the per-k maximum over
+    trials of the L1 gap and the largest gap off row i0."""
     alphas = np.asarray(stepsize(sp, np.arange(1, T + 1)))
     others = np.arange(pair.base.n) != pair.i0
     X0 = draw_rows([(np.asarray(seeds), "init")], np.random.Generator.standard_normal,
@@ -72,7 +74,7 @@ def two_call_replay(pair, algorithm, W, sp, T, seeds, Zs):
         Xb, Yb, _ = _obs_step(algorithm, Xb, Yb, None, Z, W, pair.base, alphas[k], sp.beta)
         Xp, Yp, _ = _obs_step(algorithm, Xp, Yp, None, Z, W, pair.perturbed, alphas[k],
                               sp.beta)
-        states.append(Xb)
+        states.append((Xb, Xp))
         D = np.abs(Xb - Xp)
         dh[k] = D.sum(axis=(1, 2)).max()
         off = max(off, float(D[:, others, :].max()))
@@ -82,23 +84,51 @@ def two_call_replay(pair, algorithm, W, sp, T, seeds, Zs):
 def test_audit_base_trajectory_is_engine_trajectory(audit_setup):
     # the audit replays the exact simulator trajectory: rebuild delta_hat
     # from the engine's own yields and a replay of the perturbed problem on
-    # them, and require bitwise agreement for every audited dynamic. At
-    # n = 10 and p = 2 a batch of 26 trials is 4 160 B and the audit's
-    # stacked pair 8 320 B, on either side of the agent sum's 8 KB switch;
-    # 1 and 200 trials sit below and above both.
+    # them, and require bitwise agreement for every audited dynamic, with
+    # and without noise. The stacked trajectory the audit steps must hold
+    # the two runs as its members, bit for bit. At n = 10 and p = 2 a batch
+    # of 26 trials is 4 160 B and a stacked pair 8 320 B, on either side of
+    # the agent sum's 8 KB switch; 1 and 200 trials sit below and above both.
     pair, wm, sp = audit_setup
     T, seed = 12, 123
-    for algorithm in AUDIT_ALGORITHMS:
-        for trials in (1, 26, 200):
-            env = audit_sensitivity(pair, algorithm, wm.W, sp, T, trials, seed)
-            seeds = [trial_seed(seed, t) for t in range(trials)]
-            steps = list(_trajectory(pair.base, wm.W, sp, algorithm, T, seeds))
-            states, dh, off = two_call_replay(pair, algorithm, wm.W, sp, T, seeds,
-                                              [step[3] for step in steps[1:]])
-            for k in range(T):
-                assert np.array_equal(states[k], steps[k + 1][0]), (algorithm, trials, k)
-            assert np.array_equal(dh, env.delta_hat), (algorithm, trials)
-            assert off == env.off_target_max == 0.0, (algorithm, trials)
+    stacked = _stacked(pair)
+    for params in (sp, replace(sp, delta=0.0)):
+        for algorithm in AUDIT_ALGORITHMS:
+            for trials in (1, 26, 200):
+                where = (params.delta, algorithm, trials)
+                env = audit_sensitivity(pair, algorithm, wm.W, params, T, trials, seed)
+                seeds = [trial_seed(seed, t) for t in range(trials)]
+                steps = list(_trajectory(pair.base, wm.W, params, algorithm, T, seeds))
+                Zs = [step[3] for step in steps[1:]] if params.delta > 0.0 else None
+                states, dh, off = two_call_replay(pair, algorithm, wm.W, params, T, seeds, Zs)
+                pairs = list(_trajectory(stacked, wm.W, params, algorithm, T, seeds))
+                assert np.array_equal(pairs[0][0], steps[0][0]), where
+                for k, (base, perturbed) in enumerate(states):
+                    assert np.array_equal(base, steps[k + 1][0]), (*where, k)
+                    X = pairs[k + 1][0]
+                    assert X.shape == (2, *base.shape), (*where, k)
+                    assert np.array_equal(X[0], base), (*where, k)
+                    assert np.array_equal(X[1], perturbed), (*where, k)
+                assert np.array_equal(dh, env.delta_hat), where
+                assert off == env.off_target_max == 0.0, where
+
+
+def test_audit_steps_through_the_engine_generator(audit_setup, monkeypatch):
+    # every replayed step is one stacked call of the engine's kernel, the
+    # call _trajectory makes: four dynamics, T steps, each chunk on its own
+    pair, wm, sp = audit_setup
+    T, trials, seed = 9, 20, 5
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[4]))  # the trials of the observation Z
+        return _obs_step(*args)
+
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: 7)
+    monkeypatch.setattr(engine, "_obs_step", counted)
+    compare_sensitivities(pair, wm.W, sp, T, trials, seed)
+    assert len(calls) == 4 * T * 3
+    assert sorted(calls) == [6] * (4 * T) + [7] * (2 * 4 * T)
 
 
 def test_audit_schedule_without_noise_is_a_plain_replay(audit_setup, monkeypatch):

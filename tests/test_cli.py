@@ -866,18 +866,25 @@ def test_overflowing_statistic_exits_four(tmp_path, capsys):
             "", f"dp-dgd: {field} is not finite, though every residual it is taken over is\n")
 
 
-def test_empty_output_flag_exits_two(tmp_path, capsys):
-    # an empty --trace or --summary is rejected, not replaced by the config's
-    # output path
+def test_empty_output_flag_exits_two(mnmi_cfg, tmp_path, capsys, monkeypatch):
+    # an empty output path is rejected before any config is read, not
+    # replaced by the config's output path or by stdout
     written = {key: tmp_path / f"from_config.{key}" for key in ("trace", "summary")}
     cfg = tmp_path / "outputs.cfg"
     cfg.write_text(MAIN_CFG + "".join(f"output.{key} = {path}\n"
                                       for key, path in written.items()), encoding="utf-8")
-    for flag in ("--trace", "--summary"):
-        assert cli(["run", "--config", str(cfg), flag, ""]) == 2
+    monkeypatch.chdir(tmp_path)
+    for argv in (["run", "--config", str(cfg), "--trace", ""],
+                 ["run", "--config", str(cfg), "--summary", ""],
+                 ["audit", "--config", str(cfg), "--out", ""],
+                 ["audit", "--config", str(cfg), "--format", "json", "--out", ""],
+                 ["mnmi", "--config", mnmi_cfg, "--format", "json", "--out", ""],
+                 ["mnmi", "--config", mnmi_cfg, "--dataset", ""],
+                 ["compare", "--config", str(cfg), "--algorithms", "alg1", "--out", ""]):
+        assert cli(argv) == 2, argv
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"{flag}: must not be empty\n")
-    assert not any(path.exists() for path in written.values())
+        assert (captured.out, captured.err) == ("", f"{argv[-2]}: must not be empty\n"), argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["outputs.cfg"]
 
 
 @pytest.mark.parametrize(
