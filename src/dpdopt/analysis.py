@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import _DYNAMICS, _draw_streams, _ensemble, _schedule_arrays, _trajectory
 from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
-from .errors import ScheduleError
+from .errors import DivergenceError, ScheduleError
 from .objective import AdjacentPair, _stacked
 from .rng import substream
 from .schedule import ScheduleParams
@@ -401,7 +401,11 @@ def accuracy_bound(
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
 
-    noise = delta**2 * q2**2 / (epsilon**2 * (q2 - q1) ** 2)
+    try:
+        noise = delta**2 * q2**2 / (epsilon**2 * (q2 - q1) ** 2)
+    except (OverflowError, ZeroDivisionError):  # a square left the floats
+        ratio = delta / epsilon * q2 / (q2 - q1)
+        noise = ratio * ratio  # inf, not an error, when it overflows
     return (
         math.exp(-mu * gamma / (1.0 - q1)) * c1
         + gamma * c2 * L**2 / (n * mu * (1.0 - q1))
@@ -446,11 +450,11 @@ def tune(
     """Locally minimize the accuracy bound over (gamma, q1, q2).
 
     Random feasible initializations, then cyclic one-dimensional
-    golden-section descent per coordinate until the bound's relative
-    improvement per cycle drops below 1e-6 (at most 100 cycles). Returns
-    the best (gamma, q1, q2, bound) across restarts; never worse than any
-    starting point. The objective is non-convex, so the result is a local
-    minimum only.
+    golden-section descent per coordinate until a cycle improves the bound
+    by less than 1e-6 relative (at most 100 cycles). Returns the best
+    (gamma, q1, q2, bound) across restarts, never worse than any starting
+    point: a local minimum only, as the objective is non-convex. Raises
+    DivergenceError when no point searched has a finite bound.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -486,8 +490,10 @@ def tune(
             cand, cval = _golden(lambda x: bound_at(g, a, x), a + q_gap, q_hi)
             if cval < val:
                 b, val = cand, cval
-            if prev - val <= 1e-6 * max(abs(prev), 1e-300):
+            if not prev - val > 1e-6 * max(abs(prev), 1e-300):  # NaN: inf did not improve
                 break
         if best is None or val < best[3]:
             best = (g, a, b, val)
+    if not math.isfinite(best[3]):
+        raise DivergenceError("tune: the accuracy bound is not finite at any point searched")
     return best

@@ -866,6 +866,23 @@ def test_overflowing_statistic_exits_four(tmp_path, capsys):
             "", f"dp-dgd: {field} is not finite, though every residual it is taken over is\n")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]],
+                         ids=["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "values",
+    [["--epsilon", "1", "--delta", "1e300"],  # delta**2 overflows
+     ["--epsilon", "1e-308", "--delta", "1"]],  # epsilon**2 underflows to 0
+    ids=["delta-overflows", "epsilon-underflows"],
+)
+def test_non_finite_tune_bound_exits_four(values, fmt, capsys):
+    # finite inputs that pass every tune rule, but whose accuracy bound is
+    # infinite wherever the search looks: a reported number that overflows
+    argv = ["tune", *values, "--mu", "1", "--L", "2", "--n", "3", "--p", "1"]
+    assert cli([*argv, *fmt]) == 4
+    assert capsys.readouterr() == (
+        "", "tune: the accuracy bound is not finite at any point searched\n")
+
+
 def test_empty_output_flag_exits_two(mnmi_cfg, tmp_path, capsys, monkeypatch):
     # an empty output path is rejected before any config is read, not
     # replaced by the config's output path or by stdout

@@ -12,8 +12,10 @@ from dpdopt import (
     DivergenceError,
     ScheduleError,
     ScheduleParams,
+    connected_erdos_renyi,
     engine,
     laplace_from_uniform,
+    metropolis_weights,
     monte_carlo,
     noise_scale,
     optimum,
@@ -350,6 +352,92 @@ def test_noiseless_constant_observations_are_states(setup):
     X, _, Z = one_trial(pr, wm.W, NOISELESS, "alg1-noiseless-constant", 5, 3)
     for k in range(5):
         assert np.array_equal(Z[k], X[k])
+
+
+# criterion 4's instance: its constant rows reach a state they already
+# visited after about a thousand steps, and from there on cycle through it
+CRITERION_4 = ScheduleParams(1.0 / 256.0, 256.0, 0.97, 0.99, 1.0, 0.0)
+CONSTANT_ROWS = ("alg1-noiseless-constant", "gt-noiseless", "dgd-noiseless-constant")
+
+
+@pytest.fixture(scope="module")
+def criterion4():
+    wm = metropolis_weights(connected_erdos_renyi(10, 0.5, 3))
+    return random_problem(10, 5, 3, (0.5, 1.5), 42), wm.W
+
+
+def noiseless_oracle(pr, W, sp, algorithm, T, X0):
+    """The yields of a noiseless constant-step run from X0, stepped out by
+    hand: one kernel call per step with alpha = gamma and Z = X."""
+    G = pr.gradients(X0) if algorithm == "gt-noiseless" else None
+    X, Y = X0, np.zeros_like(X0) if G is None else G
+    steps = [(X, Y, G, None, None)]
+    for _ in range(T):
+        Z = X
+        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, sp.gamma, sp.beta)
+        steps.append((X, Y, G, Z, None))
+    return steps
+
+
+def repeats_within(steps, keep):
+    """Whether some state (X, Y, G) after step 1 equals, byte for byte, the
+    state at most keep steps before it."""
+    keys = [b"".join(a.tobytes() for a in step[:3]) for step in steps[1:]]
+    return any(keys[k] == keys[k - d] for k in range(len(keys)) for d in range(1, keep + 1)
+               if k >= d)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("algorithm", CONSTANT_ROWS)
+def test_constant_rows_replay_their_cycle_exactly(criterion4, algorithm, trials, monkeypatch):
+    # every yield equals the oracle's bit for bit, whether the run replays
+    # its cycle or steps out every iteration; a one-trial run replays
+    pr, W = criterion4
+    T = 2000
+    seeds = [trial_seed(4, t) for t in range(trials)]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _obs_step(*args)
+
+    monkeypatch.setattr(engine, "_obs_step", counted)
+    got = list(_trajectory(pr, W, CRITERION_4, algorithm, T, seeds))
+    want = noiseless_oracle(pr, W, CRITERION_4, algorithm, T, got[0][0])
+    assert len(got) == len(want) == T + 1
+    for k, (step, ref) in enumerate(zip(got, want)):
+        for a, b in zip(step, ref):
+            assert (a is None and b is None) or (
+                a.shape == b.shape and a.tobytes() == b.tobytes()), (algorithm, k)
+    keep = engine._BLOCK_BYTES // (3 * got[0][0].nbytes)
+    if trials == 1:
+        assert len(calls) < T
+    if (algorithm, trials) == ("alg1-noiseless-constant", 3):
+        # this batch's period is longer than keep: it pays for the check and
+        # still steps out all T iterations
+        assert not repeats_within(want, keep)
+        assert len(calls) == T
+
+
+def test_replayed_pieces_join_as_one(criterion4, monkeypatch, inline_pool):
+    # pieces of 2 and 1 trials reach their cycles at other steps than the
+    # 3-trial batch, and each replays; the ensemble comes out the same
+    pr, W = criterion4
+    calls = []  # the trial count of each kernel call's batch
+
+    def counted(algorithm, X, *args):
+        calls.append(len(X))
+        return _obs_step(algorithm, X, *args)
+
+    monkeypatch.setattr(engine, "_obs_step", counted)
+    base = monte_carlo(pr, W, CRITERION_4, "gt-noiseless", 2000, trials=3, seed=4)
+    assert calls.count(3) == len(calls) < 2000
+    calls.clear()
+    split = monte_carlo(pr, W, CRITERION_4, "gt-noiseless", 2000, trials=3, seed=4, jobs=2)
+    assert len(inline_pool) == 1
+    assert 0 < calls.count(2) < 2000 and 0 < calls.count(1) < 2000
+    assert calls.count(2) != calls.count(1)
+    assert_same_trace(base, split)
 
 
 INVARIANTS = {
