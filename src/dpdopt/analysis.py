@@ -6,16 +6,17 @@ the base run generates the shared observations (noisy states), and the
 perturbed run is replayed against that identical transcript. Under this
 coupling every agent except the perturbed one evolves bitwise identically,
 so the per-iteration L1 gap is exactly the quantity the privacy accountant
-divides by the noise scale. The audit takes its checks, trial seeds and
-chunks from the engine's `_ensemble`, as the simulator does, and replays
-each chunk of the simulator's trials in turn: it draws the chunk's streams
-through the engine's `_draw_streams` once, its noise already transformed,
-for every audited dynamic, the rows that are not constant. Each replay is
-one run of the engine's `_trajectory`, the simulator's generator, on those
-streams and on `_stacked(pair)`, the base problem with the two problems'
-linear terms stacked: the two runs step together as the (2, trials, n, p)
-members of its states, one kernel call per step, and the transcript's
-products are computed once for both. `_replay` only reduces the yields.
+divides by the noise scale. `_envelopes` lays the audit out in one call:
+it takes its checks, trial seeds and chunks from the engine's `_ensemble`,
+as the simulator does, and returns its weights and stepsizes with the
+envelopes. Each chunk's streams are drawn through `_draw_streams` once, the
+noise transformed, for every audited dynamic, the rows that are not
+constant. Each replay is one run of the engine's `_trajectory`, the
+simulator's generator, on those streams and on `_stacked(pair)`, the base
+problem with the two problems' linear terms stacked: the two runs step
+together as the (2, trials, n, p) members of its states, one kernel call
+per step, and the transcript's products are computed once for both.
+`_replay` only reduces the yields.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ class SensitivityEnvelope:
         return bool(np.all(self.delta_hat <= self.bound + 1e-12))
 
 
-def _audit_setup(pair: AdjacentPair, W, sp: ScheduleParams, T: int, trials: int, seed: int):
-    """Check the audit arguments; returns the weight matrix and the trial
-    seeds in the simulator's chunks."""
-    if T < 1:
-        raise ValueError(f"need at least one iteration, got {T}")
-    # no audited row is constant, so the engine's checks are the same for each
-    return _ensemble(pair.base, W, sp, AUDIT_ALGORITHMS[0], T, trials, seed)
-
-
 def audit_sensitivity(
     pair: AdjacentPair,
     algorithm: str,
@@ -107,15 +99,18 @@ def audit_sensitivity(
         raise ValueError(
             f"sensitivity audit supports {AUDIT_ALGORITHMS}, got {algorithm!r}"
         )
-    Wm, chunks = _audit_setup(pair, W, sp, T, trials, seed)
-    return _envelopes(pair, (algorithm,), Wm, sp, T, chunks)[algorithm]
+    return _envelopes(pair, (algorithm,), W, sp, T, trials, seed)[0][algorithm]
 
 
-def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
-    """The SensitivityEnvelope of each of algorithms over the checked chunks
-    of trial seeds `_audit_setup` returns. Each chunk's streams are drawn and
-    its noise transformed once, and shared by every replay; the maximum over
-    chunks is exact."""
+def _envelopes(pair, algorithms, W, sp, T, trials, seed):
+    """Check the audit arguments; return the SensitivityEnvelope of each of
+    algorithms, by name, with W as an array and the stepsizes alpha_k. Each
+    chunk's streams are drawn and its noise transformed once, and shared by
+    every replay; the maximum over chunks is exact."""
+    if T < 1:
+        raise ValueError(f"need at least one iteration, got {T}")
+    # no audited row is constant, so the engine's checks are the same for each
+    Wm, chunks = _ensemble(pair.base, W, sp, algorithms[0], T, trials, seed)
     n, p = pair.base.n, pair.base.p
     alphas, nus = _schedule_arrays(sp, T)
     stacked = _stacked(pair)
@@ -129,11 +124,11 @@ def _envelopes(pair, algorithms, Wm, sp, T, chunks) -> dict:
             algorithm=alg,
             delta_hat=np.max([delta_hat for delta_hat, _ in replays], axis=0),
             bound=pair.delta * alphas,
-            trials=sum(map(len, chunks)),
+            trials=trials,
             off_target_max=max(off_target for _, off_target in replays),
         )
         for alg, replays in parts.items()
-    }
+    }, Wm, alphas
 
 
 def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
@@ -210,14 +205,12 @@ def compare_sensitivities(
     alone. Those streams are drawn once per chunk of trials and shared by the
     four replays.
     """
-    Wm, chunks = _audit_setup(pair, W, sp, T, trials, seed)
-    envelopes = _envelopes(pair, AUDIT_ALGORITHMS, Wm, sp, T, chunks)
+    envelopes, Wm, alphas = _envelopes(pair, AUDIT_ALGORITHMS, W, sp, T, trials, seed)
     ordering_gap = {}
     for lo, hi in _ORDERING_LEGS:
         gap = envelopes[lo].delta_hat - envelopes[hi].delta_hat
         ordering_gap[f"{lo}<={hi}"] = float(np.max(gap))
 
-    alphas, _ = _schedule_arrays(sp, T)
     base_term = pair.delta * alphas
     w_ii = float(Wm[pair.i0, pair.i0])
     L = pair.base.smoothness
@@ -406,12 +399,15 @@ def accuracy_bound(
     except (OverflowError, ZeroDivisionError):  # a square left the floats
         ratio = delta / epsilon * q2 / (q2 - q1)
         noise = ratio * ratio  # inf, not an error, when it overflows
-    return (
-        math.exp(-mu * gamma / (1.0 - q1)) * c1
-        + gamma * c2 * L**2 / (n * mu * (1.0 - q1))
-        + 2.0 * p * gamma**2 * noise / (1.0 - q2**2)
-        + (4.0 * p * L + 2.0 * p * L**2 / mu) * gamma**3 * noise / (1.0 - q1 * q2**2)
-    )
+    try:
+        return (
+            math.exp(-mu * gamma / (1.0 - q1)) * c1
+            + gamma * c2 * L**2 / (n * mu * (1.0 - q1))
+            + 2.0 * p * gamma**2 * noise / (1.0 - q2**2)
+            + (4.0 * p * L + 2.0 * p * L**2 / mu) * gamma**3 * noise / (1.0 - q1 * q2**2)
+        )
+    except OverflowError:  # L**2 or a power of gamma left the floats; products give inf
+        return math.inf
 
 
 def _golden(f, lo: float, hi: float, tol: float = 1e-10, maxit: int = 200):

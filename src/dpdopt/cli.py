@@ -153,6 +153,8 @@ _TUNE_RULES = (
     (("epsilon", "mu", "L"), lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
     (("delta", "c1", "c2"), lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
     (("n", "p", "restarts"), lambda v: v >= 1, "must be >= 1"),
+    # an int compares with a float exactly: this rejects one that does not convert
+    (("n", "p"), lambda v: v <= sys.float_info.max, f"must be at most {sys.float_info.max!r}"),
 )
 
 

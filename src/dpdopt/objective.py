@@ -126,20 +126,17 @@ class Problem:
             # einsum's summation order follows its SIMD lanes and so the
             # machine; a column loop would round differently
             return np.einsum("nij,...nj->...ni", H, X) + lin
-        # these skip einsum's per-call set-up; on the x86-64 build they were
+        # this skips einsum's per-call set-up; on the x86-64 build it was
         # measured on, one or two products and adds per entry equal einsum
-        # bit for bit (test_gradients_equal_einsum_bitwise guards it)
-        if self.p == 1:
-            G = H[:, :, 0] * X
-            # in place, unless a stacked lin_stack widens the output
-            return np.add(G, lin, out=G if lin.ndim == 2 else None)
-        # p = 2: each output column is built from the (..., n) views
-        # X[..., j], so numpy's inner loops run over trials and agents rather
-        # than over the 2 columns of a broadcast
+        # bit for bit (test_gradients_equal_einsum_bitwise guards it). Each
+        # output column is built from the (..., n) views X[..., j], so numpy's
+        # inner loops run over trials and agents rather than over the columns
+        # of a broadcast
         G = np.empty(X.shape if lin.ndim == 2 else np.broadcast(X, lin).shape)
-        for k in range(2):
+        for k in range(self.p):
             g = H[:, k, 0] * X[..., 0]
-            g += H[:, k, 1] * X[..., 1]
+            for j in range(1, self.p):
+                g += H[:, k, j] * X[..., j]
             np.add(g, lin[..., k], out=G[..., k])
         return G
 

@@ -32,8 +32,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import _ensemble, _schedule_arrays, _trajectory
-from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
+from .engine import _ensemble, _schedule_arrays, _trajectory, trial_seed
+from .engine import _obs_step  # noqa: F401  (perfbench/tracing.py patches it)
+from .errors import DivergenceError
 from .objective import Problem
 from .rng import substream
 from .schedule import ScheduleParams
@@ -119,10 +120,12 @@ def collect_attacker_view(
 ) -> AttackerDataset:
     """Simulate the three-agent scenario and collect per-iteration samples.
 
-    Runs the noisy tracking dynamic for T+1 iterations per trial (the
-    reconstruction estimate at k needs the message sent at k+1) and returns
-    samples for k = 1..T. Deterministic given the seed; trial t steps
-    through the simulator's trajectory generator with seed trial_seed(seed, t).
+    Runs the noisy tracking dynamic for T+1 iterations per trial, records
+    what the colluding pair sees of the target at k = 1..T+1 and returns
+    slices of that record for k = 1..T (the reconstruction estimate at k
+    reads the message sent at k+1). Deterministic given the seed; trial t
+    steps through the simulator's trajectory generator with seed
+    trial_seed(seed, t). A non-finite sample raises DivergenceError.
     """
     if pr.n != 3 or pr.p != 1:
         raise ValueError(
@@ -132,36 +135,32 @@ def collect_attacker_view(
         raise ValueError(f"need at least one iteration, got {T}")
     Wm, chunks = _ensemble(pr, W, sp, "alg1", T + 1, trials, seed)
 
-    alphas, _ = _schedule_arrays(sp, T + 1)
-    out = {
-        name: np.empty((trials, T))
-        for name in ("V", "z0", "y0", "estimate_verbatim", "estimate_reconstruction")
-    }
-
+    # row k - 1 (k = 1..T+1): the target's message, the average it enters, its y and gradient
+    z, zbar, y, g = (np.empty((T + 1, trials)) for _ in range(4))
     stop = 0
     for seeds in chunks:
-        sl = slice(stop, stop + len(seeds))
-        stop = sl.stop
+        rows = slice(stop, stop + len(seeds))
+        stop = rows.stop
         steps = _trajectory(pr, Wm, sp, "alg1", T + 1, seeds)
         next(steps)
-        zbar_prev = None
-        for idx, (_, Y, G, Z, _) in enumerate(steps):
-            Zbar = Wm @ Z  # the kernel keeps W Z internal; the estimates need it
-            z0 = Z[:, 0, 0]
-            if idx < T:
-                out["V"][sl, idx] = G[:, 0, 0]
-                out["z0"][sl, idx] = z0
-                out["y0"][sl, idx] = Y[:, 0, 0]
-                out["estimate_verbatim"][sl, idx] = (
-                    (Zbar[:, 0, 0] - z0) / alphas[idx] - Y[:, 0, 0]
-                )
-            if idx >= 1:
-                out["estimate_reconstruction"][sl, idx - 1] = (
-                    (zbar_prev - z0) / alphas[idx - 1] - out["y0"][sl, idx - 1]
-                )
-            zbar_prev = Zbar[:, 0, 0]
+        for k, (_, Y, G, Z, _) in enumerate(steps):
+            # the kernel keeps W Z internal; the estimates need it
+            z[k, rows], zbar[k, rows] = Z[:, 0, 0], (Wm @ Z)[:, 0, 0]
+            y[k, rows], g[k, rows] = Y[:, 0, 0], G[:, 0, 0]
 
-    return AttackerDataset(trials=trials, K=T, **out)
+    alphas = _schedule_arrays(sp, T)[0][:, None]
+    with np.errstate(all="ignore"):  # a non-finite sample is reported below
+        verbatim = (zbar[:T] - z[:T]) / alphas - y[:T]
+        reconstruction = (zbar[:T] - z[1:]) / alphas - y[:T]
+    out = dict(V=g[:T], z0=z[:T], y0=y[:T], estimate_verbatim=verbatim,
+               estimate_reconstruction=reconstruction)
+    # (T, trials, field): the first hit is the earliest iteration, lowest trial, first field
+    bad = np.stack([~np.isfinite(a) for a in out.values()], axis=-1)
+    if bad.any():
+        k, t, f = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise DivergenceError(f"alg1 diverged: trial seed {trial_seed(seed, int(t))} has a "
+                              f"non-finite {list(out)[f]} at iteration {k + 1} of {T}")
+    return AttackerDataset(trials=trials, K=T, **{name: a.T for name, a in out.items()})
 
 
 def _as_samples(a: np.ndarray) -> np.ndarray:

@@ -350,6 +350,15 @@ def test_accuracy_bound_structure():
         accuracy_bound(float("nan"), 0.9, 0.95, **kw)
 
 
+def test_accuracy_bound_is_inf_when_a_power_overflows():
+    # L**2, or gamma**2 and gamma**3, leave the floats and raise OverflowError
+    # in Python; the bound is then inf, as when the noise term overflows
+    for args in ((0.1, 0.5, 0.9, 1.0, 0.0, 1.0, 1e200, 3, 1, 1.0, 1.0),
+                 (0.1, 0.5, 0.9, 1.0, 0.0, 1e-300, 1e160, 3, 1, 1.0, 1.0),
+                 (1e200, 0.5, 0.9, 1.0, 1.0, 1.0, 2.0, 3, 1, 1.0, 1.0)):
+        assert accuracy_bound(*args) == math.inf
+
+
 def test_tune_reproducible_and_not_beaten_by_probes():
     args = dict(epsilon=1.0, delta=1.0, mu=0.8, L=6.0, n=10, p=2, c1=1.0, c2=1.0)
     g, a, b, val = tune(**args, restarts=3, seed=0)

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -648,6 +649,7 @@ def test_counts_below_one_are_usage_errors(main_cfg, argv, capsys):
 
 TUNE = ["tune", "--epsilon", "1", "--delta", "0.1", "--mu", "1", "--L", "2", "--n", "6",
         "--p", "2"]
+HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
@@ -883,6 +885,27 @@ def test_non_finite_tune_bound_exits_four(values, fmt, capsys):
         "", "tune: the accuracy bound is not finite at any point searched\n")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"], ["--format", "csv"]],
+                         ids=["text", "json", "csv"])
+def test_non_finite_attacker_sample_exits_four(fmt, tmp_path, capsys):
+    # alpha_k = 0.01 * 0.5**(k - 1) reaches the subnormals, and both estimates
+    # divide by it: at run.seed = 9 trial 4's reconstruction estimate is the
+    # first sample to leave the floats, at iteration 1 040, and its verbatim
+    # estimate follows at 1 041. One line names it, with no numpy warning,
+    # and neither the output nor the dataset is written
+    cfg = tmp_path / "mnmi.cfg"
+    cfg.write_text(with_values(MNMI_CFG, {"run.trials": 200, "run.seed": 9}), encoding="utf-8")
+    dataset = tmp_path / "dataset.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["mnmi", "--config", str(cfg), "--iterations", "1080",
+                    "--dataset", str(dataset), *fmt]) == 4
+    assert capsys.readouterr() == (
+        "", f"alg1 diverged: trial seed {dpdopt.trial_seed(9, 4)} has a non-finite "
+            "estimate_reconstruction at iteration 1040 of 1080\n")
+    assert not dataset.exists()
+
+
 def test_empty_output_flag_exits_two(mnmi_cfg, tmp_path, capsys, monkeypatch):
     # an empty output path is rejected before any config is read, not
     # replaced by the config's output path or by stdout
@@ -915,9 +938,12 @@ def test_empty_output_flag_exits_two(mnmi_cfg, tmp_path, capsys, monkeypatch):
         ([*TUNE, "--mu", "nan"], "--mu: mu must be finite and > 0, got nan"),
         ([*TUNE, "--c2", "-0.5"], "--c2: c2 must be finite and >= 0, got -0.5"),
         ([*TUNE, "--restarts", "0"], "--restarts: restarts must be >= 1, got 0"),
+        # an int that does not convert to a float
+        ([*TUNE, "--n", HUGE], f"--n: n must be at most 1.7976931348623157e+308, got {HUGE}"),
+        ([*TUNE, "--p", HUGE], f"--p: p must be at most 1.7976931348623157e+308, got {HUGE}"),
     ],
     ids=["audit-delta", "audit-i0", "mnmi-neighbors", "spectral-theta", "tune-epsilon",
-         "tune-mu-nan", "tune-c2", "tune-restarts"],
+         "tune-mu-nan", "tune-c2", "tune-restarts", "tune-n-huge", "tune-p-huge"],
 )
 def test_rejected_flag_value_names_the_flag(argv, message, main_cfg, mnmi_cfg, capsys):
     if argv[0] != "tune":

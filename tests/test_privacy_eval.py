@@ -20,7 +20,7 @@ from dpdopt import (
     trial_seed,
 )
 from dpdopt.engine import _trajectory
-from dpdopt import privacy_eval
+from dpdopt import engine, privacy_eval
 from dpdopt.privacy_eval import (
     _digamma_table,
     _knn_radius,
@@ -61,6 +61,18 @@ def test_attacker_view_matches_engine(triangle):
             assert ds.y0[t, k] == y0
             assert ds.estimate_verbatim[t, k] == (zbar0 - Z[0, 0]) / alphas[k] - y0
             assert ds.estimate_reconstruction[t, k] == (zbar0 - Znext[0, 0]) / alphas[k] - y0
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_attacker_view_chunks_are_bitwise_one_batch(triangle, chunk, monkeypatch):
+    # the view steps the simulator's _chunk_size chunks one after another; each
+    # sample lands in its trial's row, bit for bit as in one batch
+    pr, wm, sp = triangle
+    whole = collect_attacker_view(pr, wm.W, sp, 10, 20, 3)
+    monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+    chunked = collect_attacker_view(pr, wm.W, sp, 10, 20, 3)
+    for name in ("V", "z0", "y0", "estimate_verbatim", "estimate_reconstruction"):
+        assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_attacker_view_validation(triangle):
