@@ -16,7 +16,7 @@ simulator's generator, on those streams and on `_stacked(pair)`, the base
 problem with the two problems' linear terms stacked: the two runs step
 together as the (2, trials, n, p) members of its states, one kernel call
 per step, and the transcript's products are computed once for both.
-`_replay` only reduces the yields.
+`_replay` only records the gaps, which `_envelopes` checks and reduces.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _DYNAMICS, _draw_streams, _ensemble, _schedule_arrays, _trajectory
+from .engine import (_DYNAMICS, _divergence, _draw_streams, _ensemble, _schedule_arrays,
+                     _trajectory)
 from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
 from .errors import DivergenceError, ScheduleError
 from .objective import AdjacentPair, _stacked
@@ -106,7 +107,8 @@ def _envelopes(pair, algorithms, W, sp, T, trials, seed):
     """Check the audit arguments; return the SensitivityEnvelope of each of
     algorithms, by name, with W as an array and the stepsizes alpha_k. Each
     chunk's streams are drawn and its noise transformed once, and shared by
-    every replay; the maximum over chunks is exact."""
+    every replay; each dynamic's gaps are joined over the chunks, checked
+    through the engine's `_divergence` and reduced to their exact maximum."""
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
     # no audited row is constant, so the engine's checks are the same for each
@@ -119,41 +121,40 @@ def _envelopes(pair, algorithms, W, sp, T, trials, seed):
         streams = _draw_streams(seeds, T, n, p, nus if sp.delta > 0.0 else None)
         for alg in algorithms:
             parts[alg].append(_replay(stacked, pair.i0, alg, Wm, sp, T, seeds, streams))
-    return {
-        alg: SensitivityEnvelope(
-            algorithm=alg,
-            delta_hat=np.max([delta_hat for delta_hat, _ in replays], axis=0),
-            bound=pair.delta * alphas,
-            trials=trials,
-            off_target_max=max(off_target for _, off_target in replays),
-        )
-        for alg, replays in parts.items()
-    }, Wm, alphas
+    ordered = [s for chunk in chunks for s in chunk]
+    envelopes = {}
+    for alg, replays in parts.items():
+        gaps = np.concatenate([record for record, _ in replays], axis=1)
+        exc = _divergence(alg, ordered, T, {"gap": gaps})
+        if exc is not None:
+            raise exc
+        envelopes[alg] = SensitivityEnvelope(alg, gaps.max(axis=1), pair.delta * alphas, trials,
+                                             max(off_target for _, off_target in replays))
+    return envelopes, Wm, alphas
 
 
 def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
     """Replay one dynamic on the adjacent pair for T steps over the trial
     streams of seeds, the (X0, noise) that _draw_streams drew for them;
-    stacked is `_stacked(pair)`. Returns the per-k maximum over these trials
-    of the L1 state gap and the largest gap on a row other than i0.
+    stacked is `_stacked(pair)`. Returns the (T, trials) L1 state gaps and
+    the largest gap on a row other than i0.
 
     The pair steps as the two members of the engine's `_trajectory` on
     stacked, member 0 the base run, whose observations both members consume:
-    member 0 is bit for bit the simulator's trajectory of the base problem,
-    and its non-finite final state raises the simulator's DivergenceError.
+    member 0 is bit for bit the simulator's trajectory of the base problem.
     """
-    gaps = np.empty((len(seeds), T))
+    gaps = np.empty((T, len(seeds)))
     off_target = 0.0
     steps = _trajectory(stacked, Wm, sp, algorithm, T, seeds, streams)
     next(steps)
     for idx, (X, *_) in enumerate(steps):
         D = np.subtract(X[0], X[1])
         np.abs(D, out=D)
-        gaps[:, idx] = D.sum(axis=(1, 2))
+        gaps[idx] = D.sum(axis=(1, 2))
         # the gaps are >= 0 (or NaN), so a zeroed row i0 leaves the others' max
         D[:, i0] = 0.0
         off_target = max(off_target, float(D.max()))
-    return gaps.max(axis=0), off_target
+    return gaps, off_target
 
 
 @dataclass(frozen=True)
@@ -352,6 +353,8 @@ def q1_bound(sigma: float, theta: float = 2.0, w_minus_i_norm: float = 2.0) -> f
     """Largest stepsize decay rate q1 certified to keep the limiting gain
     block contractive: sqrt((1-sigma^2)^4 / (48(theta+1)(2+sigma^2)
     (3+sigma^2)||W-I||^2)), theta > 1."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta:g}")
     if not theta > 1.0:
         raise ValueError(f"theta must be > 1, got {theta:g}")
     om = 1.0 - sigma**2

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness, privacy_eval
-from .engine import ALGORITHMS, monte_carlo
+from .engine import _CONSTANT_STEP, ALGORITHMS, monte_carlo
 from .errors import DivergenceError, ProblemError, ScheduleError
 from .objective import make_adjacent
 from .topology import spectral_constants
@@ -153,6 +153,7 @@ _TUNE_RULES = (
     (("epsilon", "mu", "L"), lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
     (("delta", "c1", "c2"), lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
     (("n", "p", "restarts"), lambda v: v >= 1, "must be >= 1"),
+    (("seed",), lambda v: v >= 0, "must be >= 0"),
     # an int compares with a float exactly: this rejects one that does not convert
     (("n", "p"), lambda v: v <= sys.float_info.max, f"must be at most {sys.float_info.max!r}"),
 )
@@ -238,6 +239,9 @@ def _cmd_mnmi(args) -> tuple[int, str]:
 
 def _cmd_compare(args) -> tuple[int, str]:
     cfg, wm, pr, sp, trials, T = _inputs(args)
+    noiseless = [alg for alg in args.algorithms if alg in _CONSTANT_STEP]
+    if noiseless and sp.delta != 0.0:
+        raise ValueError(f"--algorithms: {noiseless[0]} is noiseless and needs schedule.delta = 0")
 
     curves = {}
     for alg in args.algorithms:

@@ -32,7 +32,8 @@ observations and the kernel call; the audit steps each adjacent pair as one
 run of it on a `_stacked` problem, whose states carry a leading member axis,
 every member stepping on member 0's observations. A constant row is one
 fixed map of (X, Y, G): once its state repeats byte for byte, `_trajectory`
-yields the steps since again.
+yields the steps since again. It checks nothing it yields: each consumer
+checks what it records through `_divergence`, which words every divergence.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
@@ -267,6 +268,26 @@ def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials
                 for piece in _split(part, -(-pieces * len(part) // trials))]
 
 
+def _divergence(algorithm: str, seeds, T: int, named: dict, k0: int = 1, series: bool = False):
+    """The DivergenceError of the first non-finite value in named, or None.
+    named maps names to (iterations, trials, ...) arrays, row i iteration k0 +
+    i of the trials whose seeds are seeds; the error names the earliest
+    iteration, then the lowest trial, then the first name. series marks the
+    names as reported series of a run whose states stayed finite."""
+    if all(np.isfinite(a).all() for a in named.values()):
+        return None
+    # (iterations, trials, names): the first hit is the earliest iteration, lowest trial
+    bad = np.stack([~np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in named.values()],
+                   axis=-1)
+    i, t, s = (int(index) for index in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    name = list(named)[s]
+    return DivergenceError(
+        f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite {name} "
+        f"at iteration {k0 + i} of {T}", iteration=k0 + i, trial=t,
+        series=name if series else None,
+    )
+
+
 def _draw_streams(seeds, T: int, n: int, p: int, nus):
     """The streams of the trials whose seeds are seeds, which `_trajectory`
     steps through: the (trials, n, p) initial states and, given the noise
@@ -313,8 +334,6 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
     trials, n, p), and so does every state after the shared X(0). Every
     member steps on member 0's observation, Z = X(k-1)[0] + Xi, so the
     members share one transcript and the products with it.
-    A trial whose final state (member 0's) is not finite raises
-    DivergenceError once the last step has been consumed.
 
     A constant row maps (X, Y, G) alone, so a repeated state repeats every
     step after it. Its run keeps an anchor state, moved every keep =
@@ -343,19 +362,10 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
         if keep:
             since.append(step)
             if X.tobytes() == key0 and Y.tobytes() == Y0.tobytes() and G.tobytes() == G0.tobytes():
-                for step in islice(cycle(since), T - 1 - idx):
-                    yield step
-                X = step[0]
+                yield from islice(cycle(since), T - 1 - idx)
                 break
             if len(since) == keep:
                 key0, Y0, G0, since = X.tobytes(), Y, G, []
-
-    finite = np.isfinite(X if X.ndim == 3 else X[0]).all(axis=(1, 2))
-    if not finite.all():
-        raise DivergenceError(
-            f"{algorithm} diverged: trial seed {seeds[int(np.argmin(finite))]} "
-            f"has a non-finite state after {T} iterations"
-        )
 
 
 # Byte budget of one stacked block of states: _batched reduces the metrics and
@@ -409,9 +419,10 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
 
     Steps are reduced in blocks of B, as many (trials, n, p) states as fit in
     _BLOCK_BYTES and at least one; a block of one stacks views, not copies.
-    The first block with a non-finite state raises DivergenceError at once.
-    A run whose states stay finite but whose reported series are not raises
-    one at its end, naming the first such iteration, trial and series.
+    The first block with a non-finite state, which makes its residual
+    non-finite, raises DivergenceError at once. A run whose states stay
+    finite but whose reported series are not raises one at its end, naming
+    the first such iteration, trial and series.
     """
     trials = len(seeds)
     row = _DYNAMICS[algorithm]
@@ -491,45 +502,27 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
         return S
 
     diagnosed = bool(row.invariants) and not residual_only
-    overflow = None  # the DivergenceError of the first non-finite series
     xbar = metrics(slice(0, 1), X[None], None)  # the means of the last block's states
     S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
     for k0 in range(1, T + 1, B):
         b = min(B, T + 1 - k0)
-        # islice takes exactly the block, so the generator is never run past
-        # its last yield and its own end-of-run check stays out of the way
         Xs, Ys, Gs, _, Xis = zip(*islice(steps, b))
         Xb = _stack(Xs)
         cols = slice(k0, k0 + b)
         xbar_b = metrics(cols, Xb, X)
-        if not all(np.isfinite(series[:, cols]).all() for series in reported.values()):
-            # a non-finite state makes every series non-finite; the converse
-            # need not hold, so the states decide
-            bad = ~np.isfinite(Xb).all(axis=(2, 3))
-            if bad.any():
-                i, t = divmod(int(np.argmax(bad)), trials)
-                raise DivergenceError(
-                    f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
-                    f"state at iteration {k0 + i} of {T}", iteration=k0 + i, trial=t
-                )
-            if overflow is None:
-                # (b, trials, series): earliest iteration, lowest trial, first series
-                bad = np.stack([~np.isfinite(series[:, cols].T) for series in reported.values()],
-                               axis=-1)
-                i, t, s = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                name = list(reported)[s]
-                overflow = DivergenceError(
-                    f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite "
-                    f"{name} at iteration {k0 + i} of {T}", iteration=k0 + i, trial=int(t),
-                    series=name,
-                )
+        if not np.isfinite(residual[:, cols]).all():
+            exc = _divergence(algorithm, seeds, T, {"state": Xb}, k0)
+            if exc is not None:
+                raise exc
         if diagnosed:
             S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
                          _shift(xbar[-1], xbar_b), xbar_b, S)
         X, xbar = Xs[-1], xbar_b
     steps.close()  # frees the noise block
-    if overflow is not None:
-        raise overflow
+    exc = _divergence(algorithm, seeds, T, {name: series.T for name, series in reported.items()},
+                      k0=0, series=True)
+    if exc is not None:
+        raise exc
 
     return Trace(algorithm, T, *(reported.get(name) for name in _SERIES), xstar, worst_seen)
 

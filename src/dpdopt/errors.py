@@ -31,8 +31,8 @@ class DivergenceError(ArithmeticError):
     the finite floats. Not a ValueError: the input was valid and the dynamic
     itself diverged.
 
-    iteration and trial, when the simulator sets them, place the first
-    non-finite state: its iteration and the trial's index in the ensemble.
+    iteration and trial, when `engine._divergence` sets them, place the
+    first non-finite value: its iteration and the trial's index in the ensemble.
     series, when set, names the reported series that is not finite there
     while every state stays finite."""
 

@@ -13,8 +13,8 @@ consensus defect at k by alpha_k, and `reconstruction` uses the next
 received message z_0(k+1) in place of z_0(k), which recovers V(k) exactly
 when no noise is injected. The reconstruction is the default leakage input.
 The view takes its checks, trial seeds and chunks from the engine's
-`_ensemble`, as the simulator does, and steps each chunk through the
-simulator's trajectory generator.
+`_ensemble` and `_divergence`, as the simulator does, and steps each
+chunk through the simulator's trajectory generator.
 
 scipy, whose kd-tree and digamma the estimator uses, is imported the first
 time either is needed, not with the module: importing `scipy.spatial` takes
@@ -32,9 +32,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import _ensemble, _schedule_arrays, _trajectory, trial_seed
-from .engine import _obs_step  # noqa: F401  (perfbench/tracing.py patches it)
-from .errors import DivergenceError
+from .engine import _divergence, _ensemble, _schedule_arrays, _trajectory
+from .engine import _obs_step, trial_seed  # noqa: F401  (perfbench/tracing.py patches them)
 from .objective import Problem
 from .rng import substream
 from .schedule import ScheduleParams
@@ -125,7 +124,7 @@ def collect_attacker_view(
     slices of that record for k = 1..T (the reconstruction estimate at k
     reads the message sent at k+1). Deterministic given the seed; trial t
     steps through the simulator's trajectory generator with seed
-    trial_seed(seed, t). A non-finite sample raises DivergenceError.
+    trial_seed(seed, t). A non-finite sample raises `_divergence`'s error.
     """
     if pr.n != 3 or pr.p != 1:
         raise ValueError(
@@ -154,12 +153,9 @@ def collect_attacker_view(
         reconstruction = (zbar[:T] - z[1:]) / alphas - y[:T]
     out = dict(V=g[:T], z0=z[:T], y0=y[:T], estimate_verbatim=verbatim,
                estimate_reconstruction=reconstruction)
-    # (T, trials, field): the first hit is the earliest iteration, lowest trial, first field
-    bad = np.stack([~np.isfinite(a) for a in out.values()], axis=-1)
-    if bad.any():
-        k, t, f = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise DivergenceError(f"alg1 diverged: trial seed {trial_seed(seed, int(t))} has a "
-                              f"non-finite {list(out)[f]} at iteration {k + 1} of {T}")
+    exc = _divergence("alg1", [s for chunk in chunks for s in chunk], T, out)
+    if exc is not None:
+        raise exc
     return AttackerDataset(trials=trials, K=T, **{name: a.T for name, a in out.items()})
 
 

@@ -739,19 +739,38 @@ DIVERGING_CFG = MAIN_CFG.replace("topology.n = 6", "topology.n = 10").replace(
      ["audit", "--format", "json"]],
     ids=["run", "compare", "audit"],
 )
-def test_divergence_exits_four(argv, tmp_path, capsys):
+def test_divergence_exits_four(argv, tmp_path, capsys, monkeypatch):
+    # one rule for every consumer: the earliest non-finite iteration, then
+    # its lowest trial, of what the consumer records, whatever the chunking.
+    # The audit's base run steps bit for bit as the simulator does, and its
+    # L1 gap is not finite where a state is not, so it names the same trial
+    # and iteration
     cfg = tmp_path / "diverging.cfg"
-    cfg.write_text(DIVERGING_CFG, encoding="utf-8")
-    assert cli([argv[0], "--config", str(cfg), *argv[1:]]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("alg1 diverged: trial seed ")
-    # the simulator names the first non-finite iteration; the audit checks
-    # the final states only
-    if argv[0] != "audit":
-        assert " has a non-finite state at iteration " in captured.err
-    assert "Traceback" not in captured.err
+    cfg.write_text(with_values(DIVERGING_CFG, {"run.seed": 9}), encoding="utf-8")
+    name = "gap" if argv[0] == "audit" else "state"
+    for chunk in (None, 1, 7):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
+        assert cli([argv[0], "--config", str(cfg), *argv[1:]]) == 4
+        assert capsys.readouterr() == (
+            "", f"alg1 diverged: trial seed {dpdopt.trial_seed(9, 3)} has a non-finite {name} "
+                "at iteration 261 of 500\n"), chunk
+
+
+def test_diverging_triangle_names_one_trial(tmp_path, capsys):
+    # the leakage triangle at a diverging schedule: run, audit and mnmi name
+    # the same trial. The attacker view's samples at k read the message
+    # Z(k) = X(k - 1) + xi, so its first non-finite sample comes one
+    # iteration after the first non-finite state
+    cfg = tmp_path / "triangle.cfg"
+    cfg.write_text(with_values(MNMI_CFG, {
+        "schedule.gamma": 0.9, "schedule.beta": 1, "schedule.q1": 0.999,
+        "schedule.q2": 0.9999, "run.iterations": 500}), encoding="utf-8")
+    first = f"alg1 diverged: trial seed {dpdopt.trial_seed(5, 20)} has a non-finite"
+    for command, tail in (("run", "state at iteration 252"), ("audit", "gap at iteration 252"),
+                          ("mnmi", "y0 at iteration 253")):
+        assert cli([command, "--config", str(cfg)]) == 4
+        assert capsys.readouterr() == ("", f"{first} {tail} of 500\n"), command
 
 
 def test_divergence_line_does_not_depend_on_the_jobs(tmp_path, capfd, monkeypatch):
@@ -941,11 +960,22 @@ def test_empty_output_flag_exits_two(mnmi_cfg, tmp_path, capsys, monkeypatch):
         # an int that does not convert to a float
         ([*TUNE, "--n", HUGE], f"--n: n must be at most 1.7976931348623157e+308, got {HUGE}"),
         ([*TUNE, "--p", HUGE], f"--p: p must be at most 1.7976931348623157e+308, got {HUGE}"),
+        ([*TUNE, "--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+        (["spectral", "--theta", "inf"], "--theta: theta must be finite, got inf"),
+        # the config's schedule.delta is 1
+        (["compare", "--algorithms", "alg1,gt-noiseless"],
+         "--algorithms: gt-noiseless is noiseless and needs schedule.delta = 0"),
     ],
     ids=["audit-delta", "audit-i0", "mnmi-neighbors", "spectral-theta", "tune-epsilon",
-         "tune-mu-nan", "tune-c2", "tune-restarts", "tune-n-huge", "tune-p-huge"],
+         "tune-mu-nan", "tune-c2", "tune-restarts", "tune-n-huge", "tune-p-huge",
+         "tune-seed", "spectral-theta-inf", "compare-noiseless"],
 )
-def test_rejected_flag_value_names_the_flag(argv, message, main_cfg, mnmi_cfg, capsys):
+def test_rejected_flag_value_names_the_flag(argv, message, main_cfg, mnmi_cfg, capsys,
+                                            monkeypatch):
+    def not_simulated(*args, **kwargs):
+        raise AssertionError("simulated before the flag was checked")
+
+    monkeypatch.setattr(cli_module, "monte_carlo", not_simulated)
     if argv[0] != "tune":
         argv = [argv[0], "--config", mnmi_cfg if argv[0] == "mnmi" else main_cfg, *argv[1:]]
     assert cli(argv) == 2
