@@ -125,9 +125,7 @@ def _envelopes(pair, algorithms, W, sp, T, trials, seed):
     envelopes = {}
     for alg, replays in parts.items():
         gaps = np.concatenate([record for record, _ in replays], axis=1)
-        exc = _divergence(alg, ordered, T, {"gap": gaps})
-        if exc is not None:
-            raise exc
+        _divergence(alg, ordered, T, {"gap": gaps})
         envelopes[alg] = SensitivityEnvelope(alg, gaps.max(axis=1), pair.delta * alphas, trials,
                                              max(off_target for _, off_target in replays))
     return envelopes, Wm, alphas
@@ -137,13 +135,15 @@ def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
     """Replay one dynamic on the adjacent pair for T steps over the trial
     streams of seeds, the (X0, noise) that _draw_streams drew for them;
     stacked is `_stacked(pair)`. Returns the (T, trials) L1 state gaps and
-    the largest gap on a row other than i0.
+    the largest gap on a row other than i0. The replay stops at the first
+    step with a non-finite gap off row i0: that step's gaps are not finite,
+    so the later ones, left NaN, cannot change `_divergence`'s line.
 
     The pair steps as the two members of the engine's `_trajectory` on
     stacked, member 0 the base run, whose observations both members consume:
     member 0 is bit for bit the simulator's trajectory of the base problem.
     """
-    gaps = np.empty((T, len(seeds)))
+    gaps = np.full((T, len(seeds)), np.nan)
     off_target = 0.0
     steps = _trajectory(stacked, Wm, sp, algorithm, T, seeds, streams)
     next(steps)
@@ -153,7 +153,10 @@ def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
         gaps[idx] = D.sum(axis=(1, 2))
         # the gaps are >= 0 (or NaN), so a zeroed row i0 leaves the others' max
         D[:, i0] = 0.0
-        off_target = max(off_target, float(D.max()))
+        worst = float(D.max())
+        if not math.isfinite(worst):
+            break
+        off_target = max(off_target, worst)
     return gaps, off_target
 
 

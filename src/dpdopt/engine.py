@@ -269,19 +269,19 @@ def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials
 
 
 def _divergence(algorithm: str, seeds, T: int, named: dict, k0: int = 1, series: bool = False):
-    """The DivergenceError of the first non-finite value in named, or None.
-    named maps names to (iterations, trials, ...) arrays, row i iteration k0 +
-    i of the trials whose seeds are seeds; the error names the earliest
+    """Raise the DivergenceError of the first non-finite value in named, if
+    any. named maps names to (iterations, trials, ...) arrays, row i iteration
+    k0 + i of the trials whose seeds are seeds; the error names the earliest
     iteration, then the lowest trial, then the first name. series marks the
     names as reported series of a run whose states stayed finite."""
     if all(np.isfinite(a).all() for a in named.values()):
-        return None
+        return
     # (iterations, trials, names): the first hit is the earliest iteration, lowest trial
     bad = np.stack([~np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in named.values()],
                    axis=-1)
     i, t, s = (int(index) for index in np.unravel_index(int(np.argmax(bad)), bad.shape))
     name = list(named)[s]
-    return DivergenceError(
+    raise DivergenceError(
         f"{algorithm} diverged: trial seed {seeds[t]} has a non-finite {name} "
         f"at iteration {k0 + i} of {T}", iteration=k0 + i, trial=t,
         series=name if series else None,
@@ -511,18 +511,14 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
         cols = slice(k0, k0 + b)
         xbar_b = metrics(cols, Xb, X)
         if not np.isfinite(residual[:, cols]).all():
-            exc = _divergence(algorithm, seeds, T, {"state": Xb}, k0)
-            if exc is not None:
-                raise exc
+            _divergence(algorithm, seeds, T, {"state": Xb}, k0)
         if diagnosed:
             S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
                          _shift(xbar[-1], xbar_b), xbar_b, S)
         X, xbar = Xs[-1], xbar_b
     steps.close()  # frees the noise block
-    exc = _divergence(algorithm, seeds, T, {name: series.T for name, series in reported.items()},
-                      k0=0, series=True)
-    if exc is not None:
-        raise exc
+    _divergence(algorithm, seeds, T, {name: series.T for name, series in reported.items()},
+                k0=0, series=True)
 
     return Trace(algorithm, T, *(reported.get(name) for name in _SERIES), xstar, worst_seen)
 

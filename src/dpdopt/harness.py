@@ -228,8 +228,23 @@ def content_hash(obj) -> str:
 
 
 def format_json(obj) -> str:
-    """The JSON of every machine-readable output: indented, sorted keys."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Every output's JSON: json.dumps(obj, indent=2, sort_keys=True) + "\\n", byte for byte."""
+    return _indented(obj, "\n") + "\n"
+
+
+def _indented(obj, newline: str) -> str:
+    # json.dumps with an indent runs in Python: here each container of scalars
+    # is one C encoder call, and only containers of containers are walked
+    inner, is_dict = newline + "  ", isinstance(obj, dict)
+    items = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items))):
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + newline + text[-1] if items else text
+    if is_dict:  # a walked dict's keys must be str
+        parts = [json.encoder.encode_basestring_ascii(key) + ": " + _indented(value, inner)
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return "[" + inner + ("," + inner).join(_indented(item, inner) for item in obj) + newline + "]"
 
 
 def _cell(value) -> str:

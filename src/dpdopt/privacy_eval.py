@@ -124,7 +124,8 @@ def collect_attacker_view(
     slices of that record for k = 1..T (the reconstruction estimate at k
     reads the message sent at k+1). Deterministic given the seed; trial t
     steps through the simulator's trajectory generator with seed
-    trial_seed(seed, t). A non-finite sample raises `_divergence`'s error.
+    trial_seed(seed, t). A non-finite sample raises `_divergence`'s error; a
+    chunk stops one row past its first non-finite record row, the rest NaN.
     """
     if pr.n != 3 or pr.p != 1:
         raise ValueError(
@@ -135,7 +136,7 @@ def collect_attacker_view(
     Wm, chunks = _ensemble(pr, W, sp, "alg1", T + 1, trials, seed)
 
     # row k - 1 (k = 1..T+1): the target's message, the average it enters, its y and gradient
-    z, zbar, y, g = (np.empty((T + 1, trials)) for _ in range(4))
+    z, zbar, y, g = (np.full((T + 1, trials), np.nan) for _ in range(4))
     stop = 0
     for seeds in chunks:
         rows = slice(stop, stop + len(seeds))
@@ -146,6 +147,10 @@ def collect_attacker_view(
             # the kernel keeps W Z internal; the estimates need it
             z[k, rows], zbar[k, rows] = Z[:, 0, 0], (Wm @ Z)[:, 0, 0]
             y[k, rows], g[k, rows] = Y[:, 0, 0], G[:, 0, 0]
+            # the samples of row k - 1 read record rows k - 1 and k, and are not
+            # finite where row k - 1 is not: no later row can change the line
+            if k and not np.isfinite([a[k - 1, rows] for a in (z, zbar, y, g)]).all():
+                break
 
     alphas = _schedule_arrays(sp, T)[0][:, None]
     with np.errstate(all="ignore"):  # a non-finite sample is reported below
@@ -153,9 +158,7 @@ def collect_attacker_view(
         reconstruction = (zbar[:T] - z[1:]) / alphas - y[:T]
     out = dict(V=g[:T], z0=z[:T], y0=y[:T], estimate_verbatim=verbatim,
                estimate_reconstruction=reconstruction)
-    exc = _divergence("alg1", [s for chunk in chunks for s in chunk], T, out)
-    if exc is not None:
-        raise exc
+    _divergence("alg1", [s for chunk in chunks for s in chunk], T, out)
     return AttackerDataset(trials=trials, K=T, **{name: a.T for name, a in out.items()})
 
 

@@ -4,6 +4,7 @@ Every test drives cli() with an argv list and asserts on exit code plus
 captured output, exactly as a shell user would see it.
 """
 
+import collections
 import hashlib
 import importlib
 import json
@@ -265,6 +266,35 @@ def test_compare_json(main_cfg, capsys):
     for curve in body.values():
         assert len(curve["residual_mean"]) == 16
         assert curve["final_residual_mean"] >= 0.0
+
+
+def redumped(text):
+    """What text parses to, rendered by json.dumps indented with sorted keys."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["audit"], ["compare", "--algorithms", "alg1,dp-dgd"], ["mnmi"],
+     ["mnmi", "--joint"], ["spectral"],
+     ["tune", "--epsilon", "1", "--delta", "1", "--mu", "0.5", "--L", "1.5", "--n", "6",
+      "--p", "2", "--restarts", "2", "--seed", "0"]],
+    ids=["run", "audit", "compare", "mnmi", "mnmi-joint", "spectral", "tune"],
+)
+def test_json_outputs_are_the_bytes_of_json_dumps(argv, main_cfg, mnmi_cfg, tmp_path, capsys):
+    # every float round-trips through repr, so an output equals its re-dump
+    # exactly when it is json.dumps(indent=2, sort_keys=True)'s rendering
+    command = argv[0]
+    if command != "tune":
+        argv = [command, "--config", mnmi_cfg if command == "mnmi" else main_cfg, *argv[1:]]
+    if command == "run":
+        argv += ["--trace", str(tmp_path / "trace.csv"), "--summary", str(tmp_path / "s.json")]
+    assert cli([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == redumped(out)
+    if command == "run":
+        summary = (tmp_path / "s.json").read_text(encoding="utf-8")
+        assert summary == out == redumped(summary)
 
 
 def test_compare_csv(main_cfg, tmp_path, capsys):
@@ -771,6 +801,35 @@ def test_diverging_triangle_names_one_trial(tmp_path, capsys):
                           ("mnmi", "y0 at iteration 253")):
         assert cli([command, "--config", str(cfg)]) == 4
         assert capsys.readouterr() == ("", f"{first} {tail} of 500\n"), command
+
+
+def test_diverging_audit_and_mnmi_stop_stepping(tmp_path, capsys, monkeypatch):
+    # a replay stops at the first step with a non-finite gap off row i0, one
+    # step after the dynamic's first non-finite state (compare names
+    # iterations 261, 265, 265 and 266), and an attacker chunk one record row
+    # past its first non-finite one, of 500 steps (501 for mnmi)
+    calls = collections.Counter()
+    obs_step = engine._obs_step
+
+    def counted(algorithm, *args):
+        calls[algorithm] += 1
+        return obs_step(algorithm, *args)
+
+    monkeypatch.setattr(engine, "_obs_step", counted)
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(with_values(DIVERGING_CFG, {"run.seed": 9}), encoding="utf-8")
+    assert cli(["audit", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.endswith(" gap at iteration 261 of 500\n")
+    assert calls == {"alg1": 262, "dp-dgd": 266, "dgd-true-consensus": 266,
+                     "dgd-true-gradient": 267}
+    calls.clear()
+    cfg = tmp_path / "triangle.cfg"
+    cfg.write_text(with_values(MNMI_CFG, {
+        "schedule.gamma": 0.9, "schedule.beta": 1, "schedule.q1": 0.999,
+        "schedule.q2": 0.9999, "run.iterations": 500}), encoding="utf-8")
+    assert cli(["mnmi", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.endswith(" y0 at iteration 253 of 500\n")
+    assert calls == {"alg1": 254}
 
 
 def test_divergence_line_does_not_depend_on_the_jobs(tmp_path, capfd, monkeypatch):

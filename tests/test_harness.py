@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdopt.errors import ConfigError
 from dpdopt.harness import (
@@ -277,6 +279,36 @@ def test_canonical_json_bytes_exact():
     assert canonical_json_bytes({"b": 1, "a": [1.5, "x"]}) == b'{"a":[1.5,"x"],"b":1}'
     with pytest.raises(ValueError):
         canonical_json_bytes({"a": math.nan})
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308])
+    | st.floats().map(np.float64) | st.text()
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_format_json_is_the_bytes_of_indented_json_dumps(obj):
+    assert harness.format_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_format_json_keys():
+    # a dict of scalars is one C encoder call, which converts a non-str key
+    # as json.dumps does; a dict that holds a container is walked, and a
+    # non-str key there raises TypeError
+    for obj in ({1: 2.5, 3: "x"}, {1.5: None, -0.5: math.inf}, [{True: 1, False: 2}]):
+        assert harness.format_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    for obj in ({1: [2.5]}, {"a": {"b": {0: {}}}}, [{None: ()}]):
+        with pytest.raises(TypeError):
+            harness.format_json(obj)
 
 
 def test_content_hash_matches_direct_recompute():
