@@ -247,6 +247,14 @@ def _indented(obj, newline: str) -> str:
     return "[" + inner + ("," + inner).join(_indented(item, inner) for item in obj) + newline + "]"
 
 
+# rows per % pass of format_csv: a block's cells and text take about 1 MB
+_BLOCK_ROWS = 4096
+# the %-format of a column's cells by dtype kind: %r of a float64 array's
+# Python floats is float.__repr__, %d of an integer array's ints is str, and
+# any other column is held as _cell's strings
+_SPECS = {"f": "%r", "i": "%d", "u": "%d", "O": "%s"}
+
+
 def _cell(value) -> str:
     # repr of a Python float round-trips exactly; numpy scalars must be
     # unwrapped first or they stringify as np.float64(...)
@@ -257,24 +265,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _rendered(column):
-    """The cells of one column, rendered lazily. Float and integer arrays
-    skip the per-cell rule and give the same text: np.float64 subclasses
-    float, so float.__repr__ reads its elements as they are."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return map(float.__repr__, column)
-        if column.dtype.kind in "iu":
-            return map(str, column)
-    return map(_cell, column)
+def _csv_blocks(columns):
+    """The text of format_csv's rows, one block of _BLOCK_ROWS rows at a time."""
+    columns = [c if isinstance(c, np.ndarray) and (c.dtype == np.float64 or c.dtype.kind in "iu")
+               else np.fromiter(map(_cell, c), dtype=object) for c in columns]
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"columns must be equally long, got lengths {list(map(len, columns))}")
+    row, width = ",".join(_SPECS[c.dtype.kind] for c in columns) + "\n", len(columns)
+    for lo in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+        cells = [None] * (width * min(_BLOCK_ROWS, len(columns[0]) - lo))
+        for j, column in enumerate(columns):
+            cells[j::width] = column[lo:lo + _BLOCK_ROWS].tolist()
+        yield row * (len(cells) // width) % tuple(cells)
 
 
 def format_csv(header, columns) -> str:
-    """CSV text with a header line, from equally long columns. Floats render
-    by repr, None as an empty cell and anything else by str."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_rendered, columns))))
-    return "\n".join(lines) + "\n"
+    """CSV text with a header line, from equally long columns (ValueError
+    otherwise). Floats render by repr, None as an empty cell and anything
+    else by str. Each block of _BLOCK_ROWS rows is one C-level % of a row
+    template over the .tolist() cells of a slice of each column, so at most
+    one block's cells are held at a time."""
+    return "".join([",".join(header) + "\n", *_csv_blocks(columns)])
 
 
 def format_trace_csv(trace: Trace, start: int = 0) -> str:
@@ -282,15 +293,13 @@ def format_trace_csv(trace: Trace, start: int = 0) -> str:
     trials from start, and only start = 0 gives the header line, so the texts
     of consecutive pieces of an ensemble join into the CSV of the whole."""
     trials, steps = trace.residual.shape
-    text = format_csv(
-        ("trial", "k", *_SERIES),
-        (
-            np.repeat(np.arange(start, start + trials), steps),
-            np.tile(np.arange(steps), trials),
-            *(getattr(trace, name).ravel() for name in _SERIES),
-        ),
+    columns = (
+        np.repeat(np.arange(start, start + trials), steps),
+        np.tile(np.arange(steps), trials),
+        *(getattr(trace, name).ravel() for name in _SERIES),
     )
-    return text if start == 0 else text.partition("\n")[2]
+    head = ",".join(("trial", "k", *_SERIES)) + "\n" if start == 0 else ""
+    return "".join([head, *_csv_blocks(columns)])
 
 
 def require_finite(algorithm: str, fields: dict) -> None:

@@ -332,8 +332,10 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
     kd-tree query. The sorted coordinate's counts come from each row's
     w = k window (`_window_counts`), and so do the other coordinate's when
     it is sorted in the same order, as in I(V, V); rows whose run reaches
-    past the window, and an unsorted other coordinate, are counted on
-    sorted values (`_sorted_counts`). Wider marginals use a kd-tree for the
+    past the window, and the rows of an unsorted other coordinate whose
+    radius is below its spread fl(max - min), are counted on sorted values
+    (`_sorted_counts`); fl(t_j - t_i) is monotone, so a radius of at least
+    the spread counts every row. Wider marginals use a kd-tree for the
     radius and kd-tree range queries for the counts. Either way every
     radius and count equals the kd-tree's bit for bit, so the value does
     not depend on the path. Slightly negative outputs are possible; callers
@@ -367,7 +369,9 @@ def knn_mutual_information(xs, ys, k_neighbors: int = 3) -> float:
         if np.all(t[:-1] <= t[1:]):
             ny = _window_counts(t, near[1], radius)
         else:
-            ny = _sorted_counts(np.sort(t), t, radius)
+            ny, part = np.full(n, n), np.flatnonzero(radius < np.ptp(t))
+            if len(part):
+                ny[part] = _sorted_counts(np.sort(t), t[part], radius[part])
     else:
         order = np.arange(n)
         joint = np.hstack([xs, ys])

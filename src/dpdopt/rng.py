@@ -170,7 +170,8 @@ def draw_rows(entropies, draw, out=None):
     keys = [key for entropy in entropies for key in _keys(entropy)]
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0, empty output buffer
+    # counter 0, empty output buffer; the setter reads ints faster than arrays
+    fresh = dict(bitgen.state, state={"counter": [0] * 4, "key": [0, 0]}, buffer=[0] * 4)
     results = []
     for r, key in enumerate(keys):
         fresh["state"]["key"] = key

@@ -1,5 +1,6 @@
 """Config parsing, artifact formatting, and end-to-end experiment runs."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -378,6 +379,54 @@ def test_format_csv_cell_rule(small_run, monkeypatch):
     )
     assert len(chunks) == 2
     assert format_trace_csv(trace) == reference_trace_csv(trace)
+    # the edges of repr's float text (exponent form from 1e16 and below 1e-4),
+    # in a float64 array and in a list alike
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+              9999999999999998.0, 1e16, 1.0000000000000002e16, 1e-05, 0.0001, 9.999999999999999e-05]
+    text = format_csv("ab", (np.array(floats), floats))
+    assert text == "a,b\n" + "".join(f"{x!r},{x!r}\n" for x in floats)
+    assert "1e+16" in text and "1e-05" in text and "-0.0" in text
+    # integer arrays of any width, a uint64 above 2**63, bool and str_ arrays
+    columns = (np.array([2**63, 2**64 - 1], dtype=np.uint64), np.array([-128, 127], dtype=np.int8),
+               np.array([True, False]), np.repeat(["alg1", "dp-dgd"], 1))
+    assert format_csv("abcd", columns) == (
+        "a,b,c,d\n9223372036854775808,-128,True,alg1\n18446744073709551615,127,False,dp-dgd\n")
+    # dict views, a range and float32 cells, which render as the float they hold
+    rows = {"sigma": 0.5, "contractive": True}
+    assert format_csv(("key", "value"), (rows.keys(), rows.values())) == (
+        "key,value\nsigma,0.5\ncontractive,True\n")
+    float32 = np.array([0.1, -2.5], dtype=np.float32)
+    assert format_csv("kfg", (range(1, 3), float32, list(float32))) == (
+        "k,f,g\n1,0.10000000149011612,0.10000000149011612\n2,-2.5,-2.5\n")
+    # no rows, or no columns: the header line alone
+    assert format_csv("ab", (np.array([]), [])) == "a,b\n"
+    assert format_csv((), ()) == "\n"
+    # a piece from start > 0 has no header, and the pieces of the trace rendered
+    # in blocks of 5 rows join into the reference across block boundaries
+    monkeypatch.setattr(harness, "_BLOCK_ROWS", 5)
+    pieces = [dataclasses.replace(trace, **{name: getattr(trace, name)[lo:hi] for name in
+                                            engine._SERIES}) for lo, hi in ((0, 1), (1, 3), (3, 4))]
+    text = "".join(format_trace_csv(piece, lo) for piece, lo in zip(pieces, (0, 1, 3)))
+    assert text == reference_trace_csv(trace) == format_trace_csv(trace)
+    assert format_trace_csv(pieces[1], 1).startswith("1,0,")
+
+
+def test_format_csv_rejects_columns_of_different_lengths():
+    # zip would cut every column to the shortest; a short column is a bug
+    for columns in (([1, 2], [3]), (np.arange(3), np.zeros(2)), (range(2), np.arange(2), [])):
+        with pytest.raises(ValueError, match="columns must be equally long"):
+            format_csv("abc"[:len(columns)], columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=40), st.integers(1, 9))
+def test_format_csv_renders_float64_cells_by_repr(values, block_rows):
+    # any float64 column, in blocks of any size, renders as repr(float(x)) per cell
+    column = np.array(values, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK_ROWS", block_rows)
+        text = format_csv(("x", "i"), (column, np.arange(len(values))))
+    assert text == "x,i\n" + "".join(f"{float(x)!r},{i}\n" for i, x in enumerate(column))
 
 
 def test_summary_fields(small_run):

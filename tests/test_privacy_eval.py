@@ -353,7 +353,8 @@ def test_digamma_table_is_digamma_of_the_counts():
     assert _digamma_table(300) is table
 
 
-def _kdtree_mi(xs, ys, k=3):
+def _kdtree_counts(xs, ys, k=3):
+    """The jittered samples and their kd-tree marginal counts, in input order."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
     ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
     rng = substream(0, "mi-jitter")
@@ -362,8 +363,47 @@ def _kdtree_mi(xs, ys, k=3):
     joint = np.hstack([xs, ys])
     radius = cKDTree(joint).query(joint, k=k + 1, p=np.inf)[0][:, k]
     radius = np.maximum(radius - 1e-15, 0.0)
-    nx, ny = _tree_counts(xs, radius), _tree_counts(ys, radius)
+    return xs, ys, _tree_counts(xs, radius), _tree_counts(ys, radius)
+
+
+def _kdtree_mi(xs, ys, k=3):
+    xs, _, nx, ny = _kdtree_counts(xs, ys, k)
     return float(digamma(k) + digamma(len(xs)) - np.mean(digamma(nx) + digamma(ny)))
+
+
+@pytest.mark.parametrize("case", ["collapsed", "isolated-rows"])
+def test_unsorted_counts_of_a_collapsed_coordinate_equal_kdtree(case, monkeypatch):
+    # V has collapsed and the estimate is wide, so the points are sorted on the
+    # estimate and V is the unsorted coordinate. A row whose radius reaches
+    # fl(max - min) of V counts every row without a search: all rows when V
+    # collapsed below the jitter, only the four isolated rows otherwise
+    rng = np.random.default_rng(29)
+    est = rng.standard_normal(2000)
+    if case == "collapsed":
+        v = 1e-12 * rng.standard_normal(2000)
+    else:
+        v = rng.standard_normal(2000)
+        est[:4] = 1e6 * np.arange(1, 5)
+    xs, ys, _, want = _kdtree_counts(est, v)
+    s = np.sort(xs[:, 0])
+    searched, indexed = [], []
+    sorted_counts = privacy_eval._sorted_counts
+
+    def spy(sorted_values, a, r):
+        if not np.array_equal(sorted_values, s):  # not a spill past a window of s
+            searched.append(len(a))
+        return sorted_counts(sorted_values, a, r)
+
+    class Table:  # psi reads table[nx], then table[ny]
+        def __getitem__(self, counts):
+            indexed.append(counts)
+            return _digamma_table(2000)[counts]
+
+    monkeypatch.setattr(privacy_eval, "_sorted_counts", spy)
+    monkeypatch.setattr(privacy_eval, "_digamma_table", lambda n: Table())
+    assert knn_mutual_information(est, v) == _kdtree_mi(est, v)
+    assert np.array_equal(indexed[1], want[np.argsort(xs[:, 0])])
+    assert searched == ([] if case == "collapsed" else [2000 - 4])
 
 
 def test_ksg_counts_match_kdtree_on_leakage_data(triangle):

@@ -124,6 +124,22 @@ def test_draw_rows_draws_as_substream(draw):
         assert values.tolist() == want.tolist(), entropy
 
 
+def test_rekeying_drops_a_buffered_half_word():
+    # three 32-bit draws use two 64-bit words of the Philox output buffer and
+    # leave half a word buffered; each re-key must drop both, so every stream
+    # draws from its own first word
+    def draw(gen):
+        return gen.integers(2**32, size=3, dtype=np.uint32).tolist()
+
+    gen = substream(7)
+    draw(gen)
+    state = gen.bit_generator.state
+    assert (state["has_uint32"], state["buffer_pos"]) == (1, 2)
+    got = draw_rows(ENTROPIES, draw)
+    for entropy, values in zip(ENTROPIES, got, strict=True):
+        assert values == draw(substream(entropy[0], *entropy[1:])), entropy
+
+
 @pytest.mark.parametrize("method", ["random", "standard_normal"])
 def test_draw_rows_fills_out_in_place(method):
     out = np.empty((len(ENTROPIES), 4, 3))
