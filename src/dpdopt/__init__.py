@@ -9,141 +9,25 @@ envelope, evaluates convergence-rate and accuracy bounds, and measures
 information leakage with a k-NN mutual information estimator.
 """
 
-from .analysis import (
-    AUDIT_ALGORITHMS,
-    ComparisonReport,
-    GainSystem,
-    SensitivityEnvelope,
-    accuracy_bound,
-    atilde,
-    audit_sensitivity,
-    build_gain_system,
-    compare_sensitivities,
-    q1_bound,
-    rho_less_than,
-    tune,
-)
-from .cli import cli, main
-from .engine import (
-    ALGORITHMS,
-    Trace,
-    monte_carlo,
-    run,
-    trial_seed,
-)
-from .errors import (
-    BudgetError,
-    ConfigError,
-    DivergenceError,
-    ProblemError,
-    ScheduleError,
-    TopologyError,
-)
-from .harness import (
-    ExperimentConfig,
-    build_graph,
-    build_problem,
-    canonical_json_bytes,
-    content_hash,
-    format_trace_csv,
-    load_config,
-    parse_config_text,
-    run_experiment,
-    summarize,
-)
-from .objective import (
-    AdjacentPair,
-    Problem,
-    QuadraticCost,
-    make_adjacent,
-    optimum,
-    random_problem,
-)
-from .privacy_eval import (
-    AttackerDataset,
-    MnmiReport,
-    collect_attacker_view,
-    knn_mutual_information,
-    mnmi_report,
-)
-from .rng import substream
-from .schedule import (
-    ScheduleParams,
-    laplace_from_uniform,
-    noise_scale,
-    privacy_spent,
-    spend_from_sensitivities,
-    stepsize,
-)
-from .topology import (
-    Graph,
-    WeightMatrix,
-    connected_erdos_renyi,
-    metropolis_weights,
-    ring,
-    spectral_constants,
-)
+# each module's __all__ is the public surface: the package re-exports it, and
+# binds the modules first, since `from .cli import *` rebinds cli to the function
+from . import (analysis, cli, engine, errors, harness, objective, privacy_eval, rng, schedule,
+               topology)
+
+_MODULES = (analysis, cli, engine, errors, harness, objective, privacy_eval, rng, schedule,
+            topology)
+
+from .analysis import *  # noqa: E402,F403
+from .cli import *  # noqa: E402,F403
+from .engine import *  # noqa: E402,F403
+from .errors import *  # noqa: E402,F403
+from .harness import *  # noqa: E402,F403
+from .objective import *  # noqa: E402,F403
+from .privacy_eval import *  # noqa: E402,F403
+from .rng import *  # noqa: E402,F403
+from .schedule import *  # noqa: E402,F403
+from .topology import *  # noqa: E402,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "AUDIT_ALGORITHMS",
-    "AdjacentPair",
-    "AttackerDataset",
-    "BudgetError",
-    "ComparisonReport",
-    "ConfigError",
-    "DivergenceError",
-    "ExperimentConfig",
-    "GainSystem",
-    "Graph",
-    "MnmiReport",
-    "Problem",
-    "ProblemError",
-    "QuadraticCost",
-    "ScheduleError",
-    "ScheduleParams",
-    "SensitivityEnvelope",
-    "Trace",
-    "TopologyError",
-    "WeightMatrix",
-    "accuracy_bound",
-    "atilde",
-    "audit_sensitivity",
-    "build_gain_system",
-    "build_graph",
-    "build_problem",
-    "canonical_json_bytes",
-    "cli",
-    "collect_attacker_view",
-    "compare_sensitivities",
-    "connected_erdos_renyi",
-    "content_hash",
-    "format_trace_csv",
-    "knn_mutual_information",
-    "laplace_from_uniform",
-    "load_config",
-    "main",
-    "make_adjacent",
-    "metropolis_weights",
-    "mnmi_report",
-    "monte_carlo",
-    "noise_scale",
-    "optimum",
-    "parse_config_text",
-    "privacy_spent",
-    "q1_bound",
-    "random_problem",
-    "rho_less_than",
-    "ring",
-    "run",
-    "run_experiment",
-    "spectral_constants",
-    "spend_from_sensitivities",
-    "stepsize",
-    "substream",
-    "summarize",
-    "trial_seed",
-    "tune",
-]
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

@@ -6,17 +6,18 @@ the base run generates the shared observations (noisy states), and the
 perturbed run is replayed against that identical transcript. Under this
 coupling every agent except the perturbed one evolves bitwise identically,
 so the per-iteration L1 gap is exactly the quantity the privacy accountant
-divides by the noise scale. `_envelopes` lays the audit out in one call:
-it takes its checks, trial seeds and chunks from the engine's `_ensemble`,
-as the simulator does, and returns its weights and stepsizes with the
-envelopes. Each chunk's streams are drawn through `_draw_streams` once, the
-noise transformed, for every audited dynamic, the rows that are not
-constant. Each replay is one run of the engine's `_trajectory`, the
-simulator's generator, on those streams and on `_stacked(pair)`, the base
-problem with the two problems' linear terms stacked: the two runs step
-together as the (2, trials, n, p) members of its states, one kernel call
-per step, and the transcript's products are computed once for both.
-`_replay` only records the gaps, which `_envelopes` checks and reduces.
+divides by the noise scale. `_envelopes` lays the audit out in one call: it
+takes its checks, trial seeds and chunks from the engine's `_ensemble` and
+its schedule from `_schedule_arrays`, as the simulator does, and returns
+its weights and stepsizes with the envelopes. Each chunk's streams are
+drawn through `_draw_streams` once, the noise transformed, for every
+audited dynamic, the rows that are not constant. Each replay is one run of
+the engine's `_trajectory`, the simulator's generator, on those streams and
+on `_stacked(pair)`, the base problem with the two problems' linear terms
+stacked: the two runs step together as the (2, trials, n, p) members of its
+states, one kernel call per step, and the transcript's products are
+computed once for both. `_replay` only records the gaps, which `_envelopes`
+checks and reduces.
 """
 
 from __future__ import annotations
@@ -113,14 +114,13 @@ def _envelopes(pair, algorithms, W, sp, T, trials, seed):
         raise ValueError(f"need at least one iteration, got {T}")
     # no audited row is constant, so the engine's checks are the same for each
     Wm, chunks = _ensemble(pair.base, W, sp, algorithms[0], T, trials, seed)
-    n, p = pair.base.n, pair.base.p
     alphas, nus = _schedule_arrays(sp, T)
     stacked = _stacked(pair)
     parts = {alg: [] for alg in algorithms}
     for seeds in chunks:
-        streams = _draw_streams(seeds, T, n, p, nus if sp.delta > 0.0 else None)
+        streams = _draw_streams(seeds, pair.base.n, pair.base.p, nus)
         for alg in algorithms:
-            parts[alg].append(_replay(stacked, pair.i0, alg, Wm, sp, T, seeds, streams))
+            parts[alg].append(_replay(stacked, pair.i0, alg, Wm, alphas, sp.beta, seeds, streams))
     ordered = [s for chunk in chunks for s in chunk]
     envelopes = {}
     for alg, replays in parts.items():
@@ -131,10 +131,10 @@ def _envelopes(pair, algorithms, W, sp, T, trials, seed):
     return envelopes, Wm, alphas
 
 
-def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
-    """Replay one dynamic on the adjacent pair for T steps over the trial
-    streams of seeds, the (X0, noise) that _draw_streams drew for them;
-    stacked is `_stacked(pair)`. Returns the (T, trials) L1 state gaps and
+def _replay(stacked, i0, algorithm, Wm, alphas, beta, seeds, streams):
+    """Replay one dynamic on the adjacent pair for T = len(alphas) steps over
+    the trial streams of seeds, the (X0, noise) that _draw_streams drew for
+    them; stacked is `_stacked(pair)`. Returns the (T, trials) L1 gaps and
     the largest gap on a row other than i0. The replay stops at the first
     step with a non-finite gap off row i0: that step's gaps are not finite,
     so the later ones, left NaN, cannot change `_divergence`'s line.
@@ -143,9 +143,9 @@ def _replay(stacked, i0, algorithm, Wm, sp, T, seeds, streams):
     stacked, member 0 the base run, whose observations both members consume:
     member 0 is bit for bit the simulator's trajectory of the base problem.
     """
-    gaps = np.full((T, len(seeds)), np.nan)
+    gaps = np.full((len(alphas), len(seeds)), np.nan)
     off_target = 0.0
-    steps = _trajectory(stacked, Wm, sp, algorithm, T, seeds, streams)
+    steps = _trajectory(stacked, Wm, algorithm, alphas, None, beta, seeds, streams)
     next(steps)
     for idx, (X, *_) in enumerate(steps):
         D = np.subtract(X[0], X[1])

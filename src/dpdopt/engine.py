@@ -22,18 +22,20 @@ gamma, so delta = 0; the rest follow the geometric schedule), `tracking`
 `_batched` checks. Every kernel maps (X, Y, G, Z, W, pr, a_k, beta) to
 (X, Y, G): Z is what went over the wire (X itself when noiseless), G the
 stacked gradient the step used and the G passed in the one the previous
-step returned. The simulator, the sensitivity audit and the attacker view
-share three functions. `_ensemble` checks the arguments, converts W once,
-derives the trial seeds and splits them into `_chunk_size` chunks, and the
-simulator's chunks into pieces, one per job. `_draw_streams` returns a
-chunk's initial states and its noise, Laplace-transformed once however many
-dynamics read it. `_trajectory` owns the streams, the schedule, the
-observations and the kernel call; the audit steps each adjacent pair as one
-run of it on a `_stacked` problem, whose states carry a leading member axis,
-every member stepping on member 0's observations. A constant row is one
-fixed map of (X, Y, G): once its state repeats byte for byte, `_trajectory`
-yields the steps since again. It checks nothing it yields: each consumer
-checks what it records through `_divergence`, which words every divergence.
+step returned. `_schedule_arrays` alone turns a ScheduleParams into a
+run's stepsizes and noise scales, and decides whether it draws noise. The
+simulator, the sensitivity audit and the attacker view share three
+functions. `_ensemble` checks the arguments, converts W once, derives the
+trial seeds and splits them once, into one near-equal piece per job at
+least, none longer than a `_chunk_size` chunk. `_draw_streams` returns a
+piece's initial states and its noise, Laplace-transformed once however
+many dynamics read it. `_trajectory` steps the schedule arrays it is given
+on those streams; the audit steps each adjacent pair as one run of it on a
+`_stacked` problem, whose states carry a leading member axis, every member
+stepping on member 0's observations. A run without noise at one stepsize
+is one fixed map of (X, Y, G): once its state repeats byte for byte,
+`_trajectory` yields the steps since again. It checks nothing it yields: each consumer checks what
+it records through `_divergence`, which words every divergence.
 
 The simulator, `_batched`, reduces the generator's yields in blocks: it
 stacks the states of as many consecutive steps as fit in `_BLOCK_BYTES` and
@@ -157,12 +159,13 @@ def _obs_step(algorithm: str, X, Y, G, Z, W: np.ndarray, pr: Problem, a_k: float
 
 
 def _schedule_arrays(sp: ScheduleParams, T: int, constant: bool = False):
-    """Stepsizes alpha_k and noise scales nu_k for k = 1..T, as arrays;
-    constant gives alpha_k = gamma and nu_k = 0."""
+    """(alphas, nus): the stepsizes alpha_k and noise scales nu_k of k = 1..T
+    as arrays, nus None for a run that draws no noise: a constant row, whose
+    alpha_k is gamma, or delta = 0. The only place that decides either."""
     if constant:
-        return np.full(T, sp.gamma), np.zeros(T)
+        return np.full(T, sp.gamma), None
     ks = np.arange(1, T + 1)
-    return stepsize(sp, ks), noise_scale(sp, ks)
+    return stepsize(sp, ks), noise_scale(sp, ks) if sp.delta > 0.0 else None
 
 
 def _chunk_size(trials: int, T: int, n: int, p: int) -> int:
@@ -252,20 +255,16 @@ def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials
               seed: int, pieces: int = 1):
     """Check an ensemble of trials of one dynamic and lay it out. Returns W as
     an array and the trial seeds, trial_seed(seed, t) for t in trial order,
-    split into `_chunk_size` chunks, and each chunk into near-equal pieces, as
-    many as its share of `pieces` rounded up (or one per trial, when it holds
-    fewer): min(pieces, trials) pieces at least, none longer than a chunk.
-    The simulator, the sensitivity audit and the attacker view all take their
-    checks, seeds and chunks from here."""
+    split once into max(pieces, ceil(trials / chunk)) near-equal contiguous
+    pieces (one per trial, when there are fewer), chunk the `_chunk_size`:
+    none is longer than a chunk. The simulator, the sensitivity audit and
+    the attacker view all take their checks, seeds and pieces from here."""
     Wm = _mat(W)
     _validate(pr, Wm, sp, algorithm, T)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    seeds = _trial_seeds(seed, trials)
     chunk = _chunk_size(trials, T, pr.n, pr.p)
-    chunks = [seeds[i : i + chunk] for i in range(0, trials, chunk)]
-    return Wm, [piece for part in chunks
-                for piece in _split(part, -(-pieces * len(part) // trials))]
+    return Wm, _split(_trial_seeds(seed, trials), max(pieces, -(-trials // chunk)))
 
 
 def _divergence(algorithm: str, seeds, T: int, named: dict, k0: int = 1, series: bool = False):
@@ -288,11 +287,11 @@ def _divergence(algorithm: str, seeds, T: int, named: dict, k0: int = 1, series:
     )
 
 
-def _draw_streams(seeds, T: int, n: int, p: int, nus):
+def _draw_streams(seeds, n: int, p: int, nus):
     """The streams of the trials whose seeds are seeds, which `_trajectory`
     steps through: the (trials, n, p) initial states and, given the noise
-    scales nus of iterations 1..T, the read-only (trials, T, n, p) Laplace
-    noise block (None when nus is None).
+    scales nus of iterations 1..T, T = len(nus), the read-only (trials, T,
+    n, p) Laplace noise block (None when nus is None).
 
     Trial seed s owns substream(s, "init"), which draws its initial state,
     and substream(s, "noise"), whose row k - 1 drives iteration k through
@@ -305,23 +304,24 @@ def _draw_streams(seeds, T: int, n: int, p: int, nus):
     seeds = np.asarray(seeds)
     X = draw_rows([(seeds, "init")], np.random.Generator.standard_normal,
                   out=np.empty((trials, n, p)))
-    noise = None
-    if nus is not None:
-        noise = draw_rows([(seeds, "noise")], np.random.Generator.random,
-                          out=np.empty((trials, T, n, p)))
-        for k in range(T):
-            noise[:, k] = laplace_from_uniform(noise[:, k], nus[k])
-        noise.flags.writeable = False
+    if nus is None:
+        return X, None
+    noise = draw_rows([(seeds, "noise")], np.random.Generator.random,
+                      out=np.empty((trials, len(nus), n, p)))
+    for k in range(len(nus)):
+        noise[:, k] = laplace_from_uniform(noise[:, k], nus[k])
+    noise.flags.writeable = False
     return X, noise
 
 
-def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
-    """Step len(seeds) trials of one dynamic together, yielding
-    (X, Y, G, Z, Xi) for k = 0..T as (trials, n, p) batches. W is an array.
+def _trajectory(pr, W, algorithm, alphas, nus, beta, seeds, streams=None):
+    """Step len(seeds) trials of one dynamic together, step k with stepsize
+    alphas[k - 1] and gain beta, yielding (X, Y, G, Z, Xi) for k = 0..T, T =
+    len(alphas), as (trials, n, p) batches. W is an array.
 
-    The trial streams are `_draw_streams`'s, or streams, the (X0, noise) it
-    already drew for seeds; a noiseless run (a constant dynamic, or delta =
-    0) draws no noise stream.
+    The trial streams are `_draw_streams(seeds, n, p, nus)`'s, or streams,
+    the (X0, noise) it already drew for seeds; nus is read only to draw them.
+    Any schedule steps, `_schedule_arrays`'s or another.
 
     k = 0 yields the initial state, Y(0) and G(0) (zero and None, except for
     a tracking dynamic, where Y(0) = G(0) = grad F(X(0))) and Z = Xi = None.
@@ -335,34 +335,34 @@ def _trajectory(pr, W, sp, algorithm, T, seeds, streams=None):
     member steps on member 0's observation, Z = X(k-1)[0] + Xi, so the
     members share one transcript and the products with it.
 
-    A constant row maps (X, Y, G) alone, so a repeated state repeats every
-    step after it. Its run keeps an anchor state, moved every keep =
-    _BLOCK_BYTES // (3 X.nbytes) steps (0 for a bigger batch), and the steps
-    since; once a state equals the anchor byte for byte, the rest of the run
-    cycles through those steps' arrays without a kernel call.
+    A run without noise at one stepsize, as a constant row's is, maps (X, Y,
+    G) alone, so a repeated state repeats every step after it. It keeps an
+    anchor state, moved every keep = _BLOCK_BYTES // (3 X.nbytes) steps (0
+    for a bigger batch), and the steps since; once a state equals the anchor
+    byte for byte, the rest of the run cycles through those steps' arrays
+    without a kernel call.
     """
     row = _DYNAMICS[algorithm]
-    alphas, nus = _schedule_arrays(sp, T, row.constant)
-    noisy = not row.constant and sp.delta > 0.0
-    X, noise = streams or _draw_streams(seeds, T, pr.n, pr.p, nus if noisy else None)
+    X, noise = streams or _draw_streams(seeds, pr.n, pr.p, nus)
     G = pr.gradients(X) if row.tracking else None
     Y = np.zeros_like(X) if G is None else G
     Z = Xi = None
     yield X, Y, G, Z, Xi
 
-    keep = _BLOCK_BYTES // (3 * X.nbytes) if row.constant else 0
+    fixed = noise is None and (alphas == alphas[:1]).all()  # one map of (X, Y, G)
+    keep = _BLOCK_BYTES // (3 * X.nbytes) if fixed else 0
     key0, Y0, G0, since = None, None, None, []  # the anchor (X's bytes, Y, G), the steps since
     for idx, a_k in enumerate(alphas.tolist()):
         base = X if X.ndim == 3 else X[0]
-        Xi = noise[:, idx] if noisy else None
-        Z = base + Xi if noisy else base
-        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, a_k, sp.beta)
+        Xi = None if noise is None else noise[:, idx]
+        Z = base if Xi is None else base + Xi
+        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, a_k, beta)
         step = X, Y, G, Z, Xi
         yield step
         if keep:
             since.append(step)
             if X.tobytes() == key0 and Y.tobytes() == Y0.tobytes() and G.tobytes() == G0.tobytes():
-                yield from islice(cycle(since), T - 1 - idx)
+                yield from islice(cycle(since), len(alphas) - 1 - idx)
                 break
             if len(since) == keep:
                 key0, Y0, G0, since = X.tobytes(), Y, G, []
@@ -426,10 +426,10 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
     """
     trials = len(seeds)
     row = _DYNAMICS[algorithm]
-    alphas, _ = _schedule_arrays(sp, T, row.constant)
+    alphas, nus = _schedule_arrays(sp, T, row.constant)
     # the first yield draws the trial streams; their noise block is the
     # memory peak, so it is allocated before the metric arrays below exist
-    steps = _trajectory(pr, W, sp, algorithm, T, seeds)
+    steps = _trajectory(pr, W, algorithm, alphas, nus, sp.beta, seeds)
     X, *_ = next(steps)
     B = max(1, _BLOCK_BYTES // X.nbytes)
 
@@ -587,6 +587,8 @@ def monte_carlo(
     one whose states stay finite raises that of its earliest non-finite
     reported series.
     """
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
     Wm, pieces = _ensemble(pr, W, sp, algorithm, T, trials, seed, pieces=jobs)
     xstar = optimum(pr)
     err = np.geterr()

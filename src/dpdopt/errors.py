@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["TopologyError", "ProblemError", "ScheduleError", "BudgetError", "ConfigError",
+           "DivergenceError"]
+
 
 class TopologyError(ValueError):
     """Raised for malformed or unusable graphs (too small, disconnected)."""

@@ -4,8 +4,8 @@ Configs are flat key = value text; every key not marked optional is required:
 
     topology.kind = ring            # ring | erdos-renyi
     topology.n = 10                 # >= 3
-    topology.p_edge = 0.35          # optional; erdos-renyi needs it, in (0, 1]
-    topology.seed = 7               # optional; erdos-renyi needs it, >= 0
+    topology.p_edge = 0.35          # optional; erdos-renyi needs it, a ring rejects it; (0, 1]
+    topology.seed = 7               # optional; erdos-renyi needs it, a ring rejects it; >= 0
     problem.m = 3                   # >= 1
     problem.p = 2                   # >= 1
     problem.omega_min = 0.5         # finite, <= problem.omega_max
@@ -58,6 +58,8 @@ __all__ = [
     "content_hash",
     "format_json",
     "format_csv",
+    "format_trace_csv",
+    "summarize",
 ]
 
 
@@ -167,10 +169,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         values[field] = value
 
-    if values["kind"] == "erdos-renyi":
-        problems.extend(f"{_KEYS[field].key}: required for erdos-renyi"
-                        for field in ("p_edge", "topology_seed")
-                        if _KEYS[field].key not in pairs)
+    for key in (_KEYS["p_edge"].key, _KEYS["topology_seed"].key):
+        if values["kind"] == "erdos-renyi" and key not in pairs:
+            problems.append(f"{key}: required for erdos-renyi")
+        elif values["kind"] == "ring" and key in pairs:
+            problems.append(f"{key}: not used by a ring topology")
     omega_range = (values.pop("omega_min"), values.pop("omega_max"))
     if None not in omega_range and omega_range[0] > omega_range[1]:
         problems.append(

@@ -12,9 +12,9 @@ Two gradient estimates are carried side by side: `verbatim` divides the
 consensus defect at k by alpha_k, and `reconstruction` uses the next
 received message z_0(k+1) in place of z_0(k), which recovers V(k) exactly
 when no noise is injected. The reconstruction is the default leakage input.
-The view takes its checks, trial seeds and chunks from the engine's
-`_ensemble` and `_divergence`, as the simulator does, and steps each
-chunk through the simulator's trajectory generator.
+The view takes its checks, trial seeds, chunks and schedule from the
+engine's `_ensemble`, `_schedule_arrays` and `_divergence`, as the
+simulator does, and steps each chunk through its trajectory generator.
 
 scipy, whose kd-tree and digamma the estimator uses, is imported the first
 time either is needed, not with the module: importing `scipy.spatial` takes
@@ -134,6 +134,7 @@ def collect_attacker_view(
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
     Wm, chunks = _ensemble(pr, W, sp, "alg1", T + 1, trials, seed)
+    alphas, nus = _schedule_arrays(sp, T + 1)
 
     # row k - 1 (k = 1..T+1): the target's message, the average it enters, its y and gradient
     z, zbar, y, g = (np.full((T + 1, trials), np.nan) for _ in range(4))
@@ -141,7 +142,7 @@ def collect_attacker_view(
     for seeds in chunks:
         rows = slice(stop, stop + len(seeds))
         stop = rows.stop
-        steps = _trajectory(pr, Wm, sp, "alg1", T + 1, seeds)
+        steps = _trajectory(pr, Wm, "alg1", alphas, nus, sp.beta, seeds)
         next(steps)
         for k, (_, Y, G, Z, _) in enumerate(steps):
             # the kernel keeps W Z internal; the estimates need it
@@ -152,10 +153,9 @@ def collect_attacker_view(
             if k and not np.isfinite([a[k - 1, rows] for a in (z, zbar, y, g)]).all():
                 break
 
-    alphas = _schedule_arrays(sp, T)[0][:, None]
     with np.errstate(all="ignore"):  # a non-finite sample is reported below
-        verbatim = (zbar[:T] - z[:T]) / alphas - y[:T]
-        reconstruction = (zbar[:T] - z[1:]) / alphas - y[:T]
+        verbatim = (zbar[:T] - z[:T]) / alphas[:T, None] - y[:T]
+        reconstruction = (zbar[:T] - z[1:]) / alphas[:T, None] - y[:T]
     out = dict(V=g[:T], z0=z[:T], y0=y[:T], estimate_verbatim=verbatim,
                estimate_reconstruction=reconstruction)
     _divergence("alg1", [s for chunk in chunks for s in chunk], T, out)

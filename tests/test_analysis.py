@@ -25,7 +25,7 @@ from dpdopt import (
     tune,
 )
 from dpdopt import engine
-from dpdopt.engine import _obs_step, _trajectory
+from dpdopt.engine import _obs_step, _schedule_arrays, _trajectory
 from dpdopt.objective import _stacked
 from dpdopt.rng import draw_rows
 
@@ -98,10 +98,11 @@ def test_audit_base_trajectory_is_engine_trajectory(audit_setup):
                 where = (params.delta, algorithm, trials)
                 env = audit_sensitivity(pair, algorithm, wm.W, params, T, trials, seed)
                 seeds = [trial_seed(seed, t) for t in range(trials)]
-                steps = list(_trajectory(pair.base, wm.W, params, algorithm, T, seeds))
+                schedule = (*_schedule_arrays(params, T), params.beta)
+                steps = list(_trajectory(pair.base, wm.W, algorithm, *schedule, seeds))
                 Zs = [step[3] for step in steps[1:]] if params.delta > 0.0 else None
                 states, dh, off = two_call_replay(pair, algorithm, wm.W, params, T, seeds, Zs)
-                pairs = list(_trajectory(stacked, wm.W, params, algorithm, T, seeds))
+                pairs = list(_trajectory(stacked, wm.W, algorithm, *schedule, seeds))
                 assert np.array_equal(pairs[0][0], steps[0][0]), where
                 for k, (base, perturbed) in enumerate(states):
                     assert np.array_equal(base, steps[k + 1][0]), (*where, k)
@@ -169,7 +170,8 @@ def test_audit_sees_a_second_moved_agent(audit_setup):
     seeds = [trial_seed(2, t) for t in range(20)]
     for alg, env in rep.envelopes.items():
         assert env.off_target_max > 0.0
-        steps = list(_trajectory(moved.base, wm.W, sp, alg, 10, seeds))
+        steps = list(_trajectory(moved.base, wm.W, alg, *_schedule_arrays(sp, 10), sp.beta,
+                                 seeds))
         _, dh, off = two_call_replay(moved, alg, wm.W, sp, 10, seeds,
                                      [step[3] for step in steps[1:]])
         assert np.array_equal(env.delta_hat, dh)

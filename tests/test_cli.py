@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -647,6 +648,33 @@ def test_negative_seeds_exit_two(command, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("key,value", [("topology.p_edge", "0.3"), ("topology.seed", "4")])
+def test_ring_config_with_erdos_renyi_key_exits_two(key, value, tmp_path, capsys):
+    bad = tmp_path / "ring.cfg"
+    bad.write_text(f"{MAIN_CFG}{key} = {value}\n", encoding="utf-8")
+    assert cli(["run", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid config:", f"  - {key}: not used by a ring topology"]
+
+
+def test_package_reexports_each_module_all():
+    # each name is declared once, in its module's __all__; the package
+    # re-exports their union, and dpdopt.cli is the entry point, not the module
+    modules = [importlib.import_module(f"dpdopt.{info.name}")
+               for info in pkgutil.iter_modules(dpdopt.__path__) if info.name != "__main__"]
+    owner = {name: module for module in modules for name in module.__all__}
+    assert len(owner) == sum(len(module.__all__) for module in modules)
+    assert len(dpdopt.__all__) == len(set(dpdopt.__all__))
+    assert set(dpdopt.__all__) == set(owner)
+    for name in dpdopt.__all__:
+        assert getattr(dpdopt, name) is getattr(owner[name], name), name
+    assert dpdopt.cli is cli_module.cli
+    # harness.__all__ once omitted two names the package exported
+    assert {"format_trace_csv", "summarize", "draw_rows", "format_csv"} <= set(dpdopt.__all__)
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     rc = cli(["run", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2
@@ -882,8 +910,9 @@ def first_non_finite(text, series):
     pr = dpdopt.build_problem(cfg)
     xstar = dpdopt.optimum(pr)
     seeds = [dpdopt.trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-    steps = engine._trajectory(pr, dpdopt.build_graph(cfg).W, cfg.schedule, cfg.algorithm,
-                               cfg.iterations, seeds)
+    alphas, nus = engine._schedule_arrays(cfg.schedule, cfg.iterations)
+    steps = engine._trajectory(pr, dpdopt.build_graph(cfg).W, cfg.algorithm, alphas, nus,
+                               cfg.schedule.beta, seeds)
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (X, *_) in enumerate(steps):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdopt import (
     ALGORITHMS,
@@ -26,6 +28,7 @@ from dpdopt import (
     trial_seed,
 )
 from dpdopt.engine import _obs_step, _trajectory
+from dpdopt.rng import draw_rows
 
 NOISELESS = ScheduleParams(gamma=0.002, beta=500.0, q1=0.97, q2=0.99, epsilon=1.0, delta=0.0)
 
@@ -39,11 +42,19 @@ def setup(request):
     return problem10, wm, sp
 
 
-def one_trial(pr, W, sp, algorithm, T, seed):
+def trajectory(pr, W, sp, algorithm, T, seeds, schedule=None):
+    """The engine's generator on schedule, its (alphas, nus), or else on the
+    arrays a run of sp steps."""
+    constant = engine._DYNAMICS[algorithm].constant
+    alphas, nus = schedule or engine._schedule_arrays(sp, T, constant)
+    return _trajectory(pr, W, algorithm, alphas, nus, sp.beta, seeds)
+
+
+def one_trial(pr, W, sp, algorithm, T, seed, schedule=None):
     """The engine's yields for one trial: lists of X(k), Y(k) for k = 0..T
     and of the observation Z step k consumed, for k = 1..T."""
     X, Y, Z = [], [], []
-    for Xk, Yk, _, Zk, _ in _trajectory(pr, W, sp, algorithm, T, [seed]):
+    for Xk, Yk, _, Zk, _ in trajectory(pr, W, sp, algorithm, T, [seed], schedule):
         X.append(Xk[0])
         Y.append(Yk[0])
         if Zk is not None:
@@ -125,29 +136,41 @@ def test_monte_carlo_jobs_and_chunks(setup, monkeypatch):
         assert_same_trace(base, alt)
 
 
+def assert_split(pieces, seeds, chunk, jobs):
+    """The one-level split: the seeds in order, in min(trials, max(jobs,
+    ceil(trials / chunk))) pieces of at most chunk trials, their lengths
+    within one of each other."""
+    trials = len(seeds)
+    assert [s for piece in pieces for s in piece] == seeds
+    assert len(pieces) == min(trials, max(jobs, -(-trials // chunk)))
+    lengths = [len(piece) for piece in pieces]
+    assert max(lengths) <= chunk
+    assert max(lengths) - min(lengths) <= 1
+
+
 @pytest.mark.parametrize(
     "trials,chunk,jobs",
     [(7, 7, 1), (7, 7, 3), (7, 2, 3), (7, 4, 3), (3, 3, 64), (6, 4, 1), (10, 4, 2)],
 )
 def test_ensemble_pieces(setup, monkeypatch, trials, chunk, jobs):
-    # the trials in order, in at least min(jobs, trials) pieces; each piece
-    # lies inside one chunk, and a chunk's pieces differ in length by at most
-    # one; one job gives the chunks themselves
+    # the trials split once, into as many pieces as the jobs or the chunks
+    # need, whichever is more: 7 trials in chunks of 4 for 3 jobs are 3, 2, 2
     pr, wm, sp = setup
     monkeypatch.setattr(engine, "_chunk_size", lambda *args: chunk)
     _, pieces = engine._ensemble(pr, wm.W, sp, "alg1", 5, trials, 3, pieces=jobs)
-    assert [s for piece in pieces for s in piece] == [trial_seed(3, t) for t in range(trials)]
-    assert len(pieces) >= min(jobs, trials)
-    lengths = {}
-    start = 0
-    for piece in pieces:
-        assert start // chunk == (start + len(piece) - 1) // chunk
-        lengths.setdefault(start // chunk, set()).add(len(piece))
-        start += len(piece)
-    assert all(max(found) - min(found) <= 1 for found in lengths.values())
-    if jobs == 1:
-        assert [len(piece) for piece in pieces] == [
-            min(chunk, trials - t) for t in range(0, trials, chunk)]
+    assert_split(pieces, [trial_seed(3, t) for t in range(trials)], chunk, jobs)
+    if (trials, chunk, jobs) == (7, 4, 3):
+        assert [len(piece) for piece in pieces] == [3, 2, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=st.integers(1, 80), chunk=st.integers(1, 90), jobs=st.integers(1, 100))
+def test_ensemble_split_rule(setup, trials, chunk, jobs):
+    pr, wm, sp = setup
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_chunk_size", lambda *args: chunk)
+        _, pieces = engine._ensemble(pr, wm.W, sp, "alg1", 5, trials, 3, pieces=jobs)
+    assert_split(pieces, engine._trial_seeds(3, trials), chunk, jobs)
 
 
 def test_pool_shuts_down_when_a_piece_raises(setup, monkeypatch, inline_pool):
@@ -253,7 +276,7 @@ def test_noise_block_is_each_trials_laplace_stream(setup, monkeypatch, chunk):
     assert len(chunks) == (1 if chunk is None else 3)
     nus = np.asarray(noise_scale(sp, np.arange(1, T + 1)))
     for seeds in chunks:
-        X0, noise = engine._draw_streams(seeds, T, pr.n, pr.p, nus)
+        X0, noise = engine._draw_streams(seeds, pr.n, pr.p, nus)
         assert noise.shape == (len(seeds), T, pr.n, pr.p)
         assert not noise.flags.writeable
         for t, s in enumerate(seeds):
@@ -261,7 +284,7 @@ def test_noise_block_is_each_trials_laplace_stream(setup, monkeypatch, chunk):
             for k in range(T):
                 assert noise[t, k].tobytes() == laplace_from_uniform(U[k], nus[k]).tobytes()
             assert X0[t].tobytes() == substream(s, "init").standard_normal((pr.n, pr.p)).tobytes()
-        assert engine._draw_streams(seeds, T, pr.n, pr.p, None)[1] is None
+        assert engine._draw_streams(seeds, pr.n, pr.p, None)[1] is None
 
 
 def test_noise_block_is_the_drawn_buffer(setup, monkeypatch):
@@ -280,7 +303,7 @@ def test_noise_block_is_the_drawn_buffer(setup, monkeypatch):
     monkeypatch.setattr(engine, "draw_rows", recorded)
     tracemalloc.start()
     try:
-        X0, noise = engine._draw_streams(seeds, T, pr.n, pr.p, nus)
+        X0, noise = engine._draw_streams(seeds, pr.n, pr.p, nus)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -290,6 +313,26 @@ def test_noise_block_is_the_drawn_buffer(setup, monkeypatch):
     assert noise.nbytes == block
     # the block, the initial states and a few slice-sized temporaries
     assert peak < block + X0.nbytes + 10 * block // T
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_noiseless_runs_draw_no_noise(setup, algorithm, monkeypatch):
+    # a run at delta = 0 draws no "noise" stream, a noisy row's as much as a
+    # constant row's; a noisy row at delta > 0 draws one
+    pr, wm, sp = setup
+    drawn = []
+
+    def recorded(entropies, *args, **kwargs):
+        drawn.extend(entropy[1] for entropy in entropies)
+        return draw_rows(entropies, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "draw_rows", recorded)
+    monte_carlo(pr, wm.W, NOISELESS, algorithm, 5, trials=3, seed=2)
+    assert drawn == ["trial", "init"]
+    if not engine._DYNAMICS[algorithm].constant:
+        drawn.clear()
+        monte_carlo(pr, wm.W, sp, algorithm, 5, trials=3, seed=2)
+        assert drawn == ["trial", "init", "noise"]
 
 
 def test_zero_iterations(setup):
@@ -311,6 +354,9 @@ def test_validation_errors(setup):
         monte_carlo(pr, np.eye(4), sp, "alg1", 5, trials=2, seed=0)
     with pytest.raises(ValueError, match="^need at least one trial, got 0$"):
         monte_carlo(pr, wm.W, sp, "alg1", 5, trials=0, seed=0)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"^need at least one job, got {jobs}$"):
+            monte_carlo(pr, wm.W, sp, "alg1", 5, trials=2, seed=0, jobs=jobs)
     with pytest.raises(ValueError):
         run(pr, wm.W, sp, "alg1", -1, seed=0)
     # constant-step noiseless dynamics refuse a noisy schedule
@@ -323,28 +369,34 @@ def test_validation_errors(setup):
 def test_kernel_matches_batched(setup, algorithm):
     # step the kernel by hand from the generator's initial state, building
     # each observation from the documented streams, and require the engine's
-    # Z, X and Y bitwise at every step
+    # Z, X and Y bitwise at every step: on the run's own schedule, and on an
+    # arbitrary one given as data (a linearly falling alpha, nu from a fixed
+    # stream, noisy for every row)
     pr, wm, sp = setup
     if algorithm in engine._CONSTANT_STEP:
         sp = NOISELESS
-    # the oracle's own rule: the noiseless dynamics step with alpha = gamma
-    noiseless = algorithm.endswith(("noiseless", "noiseless-constant"))
     seed, T = 13, 7
-    Xs, Ys, Zs = one_trial(pr, wm.W, sp, algorithm, T, seed)
     U = substream(seed, "noise").random((T, pr.n, pr.p))
     ks = np.arange(1, T + 1)
-    alphas = np.full(T, sp.gamma) if noiseless else np.asarray(stepsize(sp, ks))
-    nus = np.asarray(noise_scale(sp, ks))
-    X = Xs[0].copy()
-    G = pr.gradients(X) if algorithm == "gt-noiseless" else None
-    Y = np.zeros_like(X) if G is None else G
-    assert np.array_equal(Y, Ys[0])
-    for k in range(T):
-        Z = X if noiseless else X + laplace_from_uniform(U[k], nus[k])
-        assert np.array_equal(Z, Zs[k])
-        X, Y, G = _obs_step(algorithm, X, Y, G, Z, wm.W, pr, float(alphas[k]), sp.beta)
-        assert np.array_equal(X, Xs[k + 1])
-        assert np.array_equal(Y, Ys[k + 1])
+    # the oracle's own rule: the noiseless dynamics step with alpha = gamma
+    constant = algorithm.endswith(("noiseless", "noiseless-constant"))
+    own = (np.full(T, sp.gamma) if constant else np.asarray(stepsize(sp, ks)),
+           np.asarray(noise_scale(sp, ks)))
+    arbitrary = (np.linspace(0.05, 0.005, T), substream(5, "nu").uniform(0.0, 0.5, T))
+    # (the oracle's schedule, the one given to the engine, whether Z = X)
+    for (alphas, nus), schedule, noiseless in ((own, None, constant),
+                                               (arbitrary, arbitrary, False)):
+        Xs, Ys, Zs = one_trial(pr, wm.W, sp, algorithm, T, seed, schedule)
+        X = Xs[0].copy()
+        G = pr.gradients(X) if algorithm == "gt-noiseless" else None
+        Y = np.zeros_like(X) if G is None else G
+        assert np.array_equal(Y, Ys[0])
+        for k in range(T):
+            Z = X if noiseless else X + laplace_from_uniform(U[k], nus[k])
+            assert np.array_equal(Z, Zs[k])
+            X, Y, G = _obs_step(algorithm, X, Y, G, Z, wm.W, pr, float(alphas[k]), sp.beta)
+            assert np.array_equal(X, Xs[k + 1])
+            assert np.array_equal(Y, Ys[k + 1])
 
 
 def test_noiseless_constant_observations_are_states(setup):
@@ -366,15 +418,15 @@ def criterion4():
     return random_problem(10, 5, 3, (0.5, 1.5), 42), wm.W
 
 
-def noiseless_oracle(pr, W, sp, algorithm, T, X0):
-    """The yields of a noiseless constant-step run from X0, stepped out by
-    hand: one kernel call per step with alpha = gamma and Z = X."""
+def noiseless_oracle(pr, W, sp, algorithm, T, X0, alphas=None):
+    """The yields of a noiseless run from X0, stepped out by hand: one kernel
+    call per step with Z = X and alpha = alphas[k - 1], or else gamma."""
     G = pr.gradients(X0) if algorithm == "gt-noiseless" else None
     X, Y = X0, np.zeros_like(X0) if G is None else G
     steps = [(X, Y, G, None, None)]
-    for _ in range(T):
+    for a_k in np.full(T, sp.gamma) if alphas is None else alphas:
         Z = X
-        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, sp.gamma, sp.beta)
+        X, Y, G = _obs_step(algorithm, X, Y, G, Z, W, pr, float(a_k), sp.beta)
         steps.append((X, Y, G, Z, None))
     return steps
 
@@ -402,7 +454,7 @@ def test_constant_rows_replay_their_cycle_exactly(criterion4, algorithm, trials,
         return _obs_step(*args)
 
     monkeypatch.setattr(engine, "_obs_step", counted)
-    got = list(_trajectory(pr, W, CRITERION_4, algorithm, T, seeds))
+    got = list(trajectory(pr, W, CRITERION_4, algorithm, T, seeds))
     want = noiseless_oracle(pr, W, CRITERION_4, algorithm, T, got[0][0])
     assert len(got) == len(want) == T + 1
     for k, (step, ref) in enumerate(zip(got, want)):
@@ -417,6 +469,29 @@ def test_constant_rows_replay_their_cycle_exactly(criterion4, algorithm, trials,
         # still steps out all T iterations
         assert not repeats_within(want, keep)
         assert len(calls) == T
+
+
+def test_a_changing_stepsize_replays_nothing(criterion4, monkeypatch):
+    # a noiseless run maps (X, Y, G) alone only at one stepsize: on a
+    # schedule that halves the stepsize after the state has begun to cycle
+    # (near step 1 070), every step is stepped out and equals the hand loop
+    pr, W = criterion4
+    T = 1500
+    alphas = np.full(T, CRITERION_4.gamma)
+    alphas[1200:] /= 2
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _obs_step(*args)
+
+    monkeypatch.setattr(engine, "_obs_step", counted)
+    got = list(_trajectory(pr, W, "gt-noiseless", alphas, None, CRITERION_4.beta, [4]))
+    want = noiseless_oracle(pr, W, CRITERION_4, "gt-noiseless", T, got[0][0], alphas)
+    assert len(calls) == T
+    for k, (step, ref) in enumerate(zip(got, want)):
+        for a, b in zip(step, ref):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), k
 
 
 def test_replayed_pieces_join_as_one(criterion4, monkeypatch, inline_pool):
@@ -490,7 +565,7 @@ def test_tracking_rows_start_at_the_gradient(setup, algorithm):
     # Y(0) = G(0) = grad F(X(0)) for a tracking row; Y(0) = 0 and no G(0)
     # for the rest
     pr, wm, _ = setup
-    X0, Y0, G0, Z, Xi = next(_trajectory(pr, wm.W, NOISELESS, algorithm, 3, [5, 6]))
+    X0, Y0, G0, Z, Xi = next(trajectory(pr, wm.W, NOISELESS, algorithm, 3, [5, 6]))
     assert Z is None and Xi is None
     if engine._DYNAMICS[algorithm].tracking:
         assert np.array_equal(G0, pr.gradients(X0))
@@ -543,7 +618,7 @@ def stepwise(pr, W, sp, algorithm, T, seeds):
         worst[key] = np.maximum(worst.get(key, 0.0), seen)
 
     X = xbar = S = None
-    for k, (Xk, Yk, Gk, _, Xi) in enumerate(_trajectory(pr, W, sp, algorithm, T, seeds)):
+    for k, (Xk, Yk, Gk, _, Xi) in enumerate(trajectory(pr, W, sp, algorithm, T, seeds)):
         xbar_k = Xk.mean(axis=1)
         col = [np.sum((Xk - xstar) ** 2, axis=(1, 2)),
                np.sum((Xk - xbar_k[:, None, :]) ** 2, axis=(1, 2)),
@@ -613,7 +688,7 @@ def test_divergence_raises(setup, monkeypatch):
     seeds = [trial_seed(4, t) for t in range(3)]
 
     def first_nonfinite(seed):
-        for k, (X, *_) in enumerate(_trajectory(pr, wm.W, sp, "alg1", 500, [seed])):
+        for k, (X, *_) in enumerate(trajectory(pr, wm.W, sp, "alg1", 500, [seed])):
             if not np.isfinite(X).all():
                 return k
         return 501

@@ -152,6 +152,10 @@ def test_erdos_renyi_requires_edge_probability_and_seed():
     joined = "\n".join(found)
     assert "topology.p_edge: required for erdos-renyi" in joined
     assert "topology.seed: required for erdos-renyi" in joined
+    # a ring uses neither key: given, each would change the content hash alone
+    found = violations_of(config_text(**{"topology.p_edge": "0.3", "topology.seed": "4"}))
+    assert found == ["topology.p_edge: not used by a ring topology",
+                     "topology.seed: not used by a ring topology"]
 
 
 def test_noiseless_algorithm_requires_zero_delta():

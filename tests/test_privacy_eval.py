@@ -19,7 +19,7 @@ from dpdopt import (
     stepsize,
     trial_seed,
 )
-from dpdopt.engine import _trajectory
+from dpdopt.engine import _schedule_arrays, _trajectory
 from dpdopt import engine, privacy_eval
 from dpdopt.privacy_eval import (
     _digamma_table,
@@ -51,7 +51,8 @@ def test_attacker_view_matches_engine(triangle):
     ds = collect_attacker_view(pr, wm.W, sp, T, trials, seed)
     alphas = np.asarray(stepsize(sp, np.arange(1, T + 2)))
     for t in range(trials):
-        steps = list(_trajectory(pr, wm.W, sp, "alg1", T + 1, [trial_seed(seed, t)]))
+        steps = list(_trajectory(pr, wm.W, "alg1", *_schedule_arrays(sp, T + 1), sp.beta,
+                                 [trial_seed(seed, t)]))
         for k in range(T):
             Z, Znext = steps[k + 1][3][0], steps[k + 2][3][0]
             y0 = steps[k + 1][1][0, 0, 0]
