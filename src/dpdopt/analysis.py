@@ -268,8 +268,8 @@ def build_gain_system(
     alpha_next/nu_next are the k+1 values, alpha_k/nu_k the current ones;
     sigma is the mixing contraction factor and w_minus_i_norm is ||W - I||.
     """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must be in (0, 1), got {sigma}")
+    if not 0.0 <= sigma < 1.0:  # 1 - sigma^2 is the only denominator in sigma
+        raise ValueError(f"sigma must be in [0, 1), got {sigma}")
     if mu <= 0 or L <= 0:
         raise ValueError(f"need mu > 0 and L > 0, got mu={mu}, L={L}")
     if not 0.0 < q1 < 1.0:

@@ -5,19 +5,25 @@ Subcommands: run (experiment to trace CSV + summary JSON), audit
 feasible decay rates for a config's graph), tune (accuracy-bound parameter
 search), mnmi (three-agent leakage scenario), compare (residual curves for
 several dynamics on one problem). --format csv|json selects machine output;
-without it a short human-readable text is printed. Each subcommand returns
-its exit status and its rendered output, which cli() writes once, to --out
-or stdout.
+without it a short human-readable text is printed.
+
+Each subcommand's handler returns its result as data, (status, body, table,
+text): the text output's exit status, the JSON body, a function of no
+arguments that gives the CSV header and columns (None for run, which has no
+CSV output) and the text output. cli() renders the one format asked for and
+writes it once, to --out or stdout. No handler reads --format.
 
 Exit status: 0 success, 1 a failed audit check, 2 a usage error or any
 invalid input, 3 an output that could not be written, 4 a diverging run or
-a reported number that overflows.
+a reported number that overflows. Only text output exits 1: a JSON or CSV
+audit reports its checks in the output and exits 0.
 Every error is reported on stderr without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -27,11 +33,21 @@ import numpy as np
 
 from . import analysis, harness, privacy_eval
 from .engine import _CONSTANT_STEP, ALGORITHMS, monte_carlo
-from .errors import DivergenceError, ProblemError, ScheduleError
+from .errors import DivergenceError
 from .objective import make_adjacent
 from .topology import spectral_constants
 
 __all__ = ["cli", "main"]
+
+
+@contextlib.contextmanager
+def _flag(name: str):
+    """Re-raise a ValueError of the block, of the same type, under the flag
+    name: the config's values are valid, so every rejected value is the flag's."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _inputs(args):
@@ -43,25 +59,20 @@ def _inputs(args):
     pr = harness.build_problem(cfg)
     sp = cfg.schedule
     if getattr(args, "epsilon", None) is not None:
-        try:
+        with _flag("--epsilon"):
             sp = dataclasses.replace(sp, epsilon=args.epsilon)
-        except ScheduleError as exc:
-            # the config's schedule is valid, so every violation is the flag's
-            raise ScheduleError(f"--epsilon: {exc}") from None
     trials = getattr(args, "trials", None) or cfg.trials
     T = getattr(args, "iterations", None) or cfg.iterations
     return cfg, wm, pr, sp, trials, T
 
 
-def _cmd_run(args) -> tuple[int, str]:
+def _cmd_run(args):
     cfg = harness.load_config(args.config)
     summary = harness.run_experiment(
         cfg, jobs=args.jobs, trace_path=args.trace, summary_path=args.summary
     )
-    if args.format == "json":
-        return 0, harness.format_json(summary)
     final = summary["final_residual"]
-    return 0, (
+    return 0, summary, None, (
         f"{cfg.algorithm}: trials={summary['trials']} T={summary['iterations']} "
         f"final residual {final['mean']:.6g} +- {final['std']:.6g} "
         f"(spent {summary['privacy_spent']:.6g})\n"
@@ -69,21 +80,12 @@ def _cmd_run(args) -> tuple[int, str]:
     )
 
 
-def _cmd_audit(args) -> tuple[int, str]:
+def _cmd_audit(args):
     cfg, wm, pr, sp, trials, T = _inputs(args)
-    delta = sp.delta if args.delta is None else args.delta
-    try:
-        pair = make_adjacent(pr, args.i0, delta, cfg.seed)
-    except ProblemError as exc:
-        # the config's delta is valid, so the rejected value is a flag's
-        flag = "--delta" if 0 <= args.i0 < pr.n else "--i0"
-        raise ProblemError(f"{flag}: {exc}") from None
+    with _flag("--delta" if 0 <= args.i0 < pr.n else "--i0"):
+        pair = make_adjacent(pr, args.i0, sp.delta if args.delta is None else args.delta,
+                             cfg.seed)
     report = analysis.compare_sensitivities(pair, wm, sp, T, trials, cfg.seed)
-
-    env = report.envelopes[args.algorithm]
-    if args.format == "csv":
-        columns = (range(1, T + 1), env.delta_hat, env.bound, env.margin)
-        return 0, harness.format_csv(("k", "delta_hat", "bound", "margin"), columns)
 
     checks = {
         "bound alg1": report.envelopes["alg1"].within_bound,
@@ -93,36 +95,36 @@ def _cmd_audit(args) -> tuple[int, str]:
         checks[f"ordering {key}"] = report.ordering_holds(key)
     for key in report.recursion_gap:
         checks[f"recursion {key}"] = report.recursion_holds(key)
+    body = {
+        "checks": checks,
+        "ordering_gap": report.ordering_gap,
+        "recursion_gap": report.recursion_gap,
+        "envelopes": {
+            name: {
+                "delta_hat": e.delta_hat.tolist(),
+                "bound": e.bound.tolist(),
+                "trials": e.trials,
+                "off_target_max": e.off_target_max,
+            }
+            for name, e in report.envelopes.items()
+        },
+    }
+    env = report.envelopes[args.algorithm]
+    return (
+        0 if all(checks.values()) else 1,
+        body,
+        lambda: (("k", "delta_hat", "bound", "margin"),
+                 (range(1, T + 1), env.delta_hat, env.bound, env.margin)),
+        "".join(f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in checks.items()),
+    )
 
-    if args.format == "json":
-        body = {
-            "checks": checks,
-            "ordering_gap": report.ordering_gap,
-            "recursion_gap": report.recursion_gap,
-            "envelopes": {
-                name: {
-                    "delta_hat": e.delta_hat.tolist(),
-                    "bound": e.bound.tolist(),
-                    "trials": e.trials,
-                    "off_target_max": e.off_target_max,
-                }
-                for name, e in report.envelopes.items()
-            },
-        }
-        return 0, harness.format_json(body)
 
-    text = "".join(f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in checks.items())
-    return (0 if all(checks.values()) else 1), text
-
-
-def _cmd_spectral(args) -> tuple[int, str]:
+def _cmd_spectral(args):
     cfg = harness.load_config(args.config)
     wm = harness.build_graph(cfg)
     sigma, w_minus_i = spectral_constants(wm)
-    try:
+    with _flag("--theta"):
         q1_max = analysis.q1_bound(sigma, args.theta, w_minus_i)
-    except ValueError as exc:
-        raise ValueError(f"--theta: {exc}") from None
     block = analysis.atilde(sigma, cfg.schedule.q1, w_minus_i)
     contractive = analysis.rho_less_than(block, 1.0)
     rho = float(np.max(np.abs(np.linalg.eigvals(block))))
@@ -134,11 +136,7 @@ def _cmd_spectral(args) -> tuple[int, str]:
         "rho_atilde": rho,
         "contractive": contractive,
     }
-    if args.format == "json":
-        return 0, harness.format_json(rows)
-    if args.format == "csv":
-        return 0, harness.format_csv(("key", "value"), (rows.keys(), rows.values()))
-    return 0, (
+    return 0, rows, lambda: (("key", "value"), (rows.keys(), rows.values())), (
         f"sigma = {sigma:.12g}\n"
         f"||W - I|| = {w_minus_i:.12g}\n"
         f"q1 bound (theta={args.theta:g}) = {q1_max:.12g}\n"
@@ -159,36 +157,24 @@ _TUNE_RULES = (
 )
 
 
-def _cmd_tune(args) -> tuple[int, str]:
+def _cmd_tune(args):
     for names, ok, rule in _TUNE_RULES:
         for name in names:
             value = getattr(args, name)
             if not ok(value):
                 raise ValueError(f"--{name}: {name} {rule}, got {value}")
     gamma, q1, q2, bound = analysis.tune(
-        args.epsilon,
-        args.delta,
-        args.mu,
-        args.L,
-        args.n,
-        args.p,
-        args.c1,
-        args.c2,
-        restarts=args.restarts,
-        seed=args.seed,
+        args.epsilon, args.delta, args.mu, args.L, args.n, args.p, args.c1, args.c2,
+        restarts=args.restarts, seed=args.seed,
     )
     rows = {"gamma": gamma, "q1": q1, "q2": q2, "bound": bound}
-    if args.format == "json":
-        return 0, harness.format_json(rows)
-    if args.format == "csv":
-        return 0, harness.format_csv(rows.keys(), [[value] for value in rows.values()])
-    return 0, (
+    return 0, rows, lambda: (rows.keys(), [[value] for value in rows.values()]), (
         f"gamma = {gamma:.6g}, q1 = {q1:.6g}, q2 = {q2:.6g}\n"
         f"accuracy bound = {bound:.6g}\n"
     )
 
 
-def _cmd_mnmi(args) -> tuple[int, str]:
+def _cmd_mnmi(args):
     cfg, wm, pr, sp, trials, T = _inputs(args)
     # each iteration's score takes one sample per trial; checked before the
     # simulation, naming whichever of the flag or the config set the count
@@ -217,27 +203,23 @@ def _cmd_mnmi(args) -> tuple[int, str]:
     # skipped iterations have a NaN ratio; they render as JSON null and an
     # empty CSV cell
     ratios = [None if np.isnan(r) else r for r in report.ratios]
-    if args.format == "json":
-        body = {
-            "mnmi": report.value,
-            "argmax_k": report.argmax_k,
-            "ratios": ratios,
-            "skipped": list(report.skipped),
-            "epsilon": sp.epsilon,
-            "variant": args.variant,
-            "joint": args.joint,
-        }
-        return 0, harness.format_json(body)
-    if args.format == "csv":
-        return 0, harness.format_csv(("k", "ratio"), (range(1, len(ratios) + 1), ratios))
-    return 0, (
+    body = {
+        "mnmi": report.value,
+        "argmax_k": report.argmax_k,
+        "ratios": ratios,
+        "skipped": list(report.skipped),
+        "epsilon": sp.epsilon,
+        "variant": args.variant,
+        "joint": args.joint,
+    }
+    return 0, body, lambda: (("k", "ratio"), (range(1, len(ratios) + 1), ratios)), (
         f"M-NMI = {report.value:.4g} at k = {report.argmax_k} "
         f"(epsilon = {sp.epsilon:g}, variant = {args.variant}, "
         f"trials = {trials}, K = {T})\n"
     )
 
 
-def _cmd_compare(args) -> tuple[int, str]:
+def _cmd_compare(args):
     cfg, wm, pr, sp, trials, T = _inputs(args)
     noiseless = [alg for alg in args.algorithms if alg in _CONSTANT_STEP]
     if noiseless and sp.delta != 0.0:
@@ -255,19 +237,13 @@ def _cmd_compare(args) -> tuple[int, str]:
         }
         harness.require_finite(alg, curves[alg])
 
-    if args.format == "json":
-        body = {alg: {**curve, "residual_mean": curve["residual_mean"].tolist()}
-                for alg, curve in curves.items()}
-        return 0, harness.format_json(body)
-    if args.format == "csv":
-        steps = T + 1
-        columns = (
-            np.repeat(list(curves), steps),
-            np.tile(np.arange(steps), len(curves)),
-            np.concatenate([curve["residual_mean"] for curve in curves.values()]),
-        )
-        return 0, harness.format_csv(("algorithm", "k", "residual_mean"), columns)
-    return 0, "".join(
+    body = {alg: {**curve, "residual_mean": curve["residual_mean"].tolist()}
+            for alg, curve in curves.items()}
+    return 0, body, lambda: (("algorithm", "k", "residual_mean"), (
+        np.repeat(list(curves), T + 1),
+        np.tile(np.arange(T + 1), len(curves)),
+        np.concatenate([curve["residual_mean"] for curve in curves.values()]),
+    )), "".join(
         f"{alg}: final residual {curve['final_residual_mean']:.6g} "
         f"+- {curve['final_residual_std']:.6g}\n"
         for alg, curve in curves.items()
@@ -403,7 +379,11 @@ def cli(argv=None) -> int:
         # a diverging run overflows on its way to the DivergenceError, which
         # is the report; numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            status, text = args.func(args)
+            status, body, table, text = args.func(args)
+        if args.format == "json":
+            status, text = 0, harness.format_json(body)
+        elif args.format == "csv":
+            status, text = 0, harness.format_csv(*table())
         harness._write(getattr(args, "out", None), text)
     except DivergenceError as exc:
         print(exc, file=sys.stderr)

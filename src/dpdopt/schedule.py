@@ -130,7 +130,13 @@ def privacy_spent(sp: ScheduleParams, K: int | None) -> float:
     floor = np.finfo(float).tiny
     ok = (leaks >= floor) & (nus >= floor)
     direct = np.divide(leaks, nus, out=np.zeros_like(leaks), where=ok)
-    if np.any(np.abs(direct[ok] - terms[ok]) > 1e-12 * terms[ok]):
+    # The two forms round apart: fl(q1/q2) is off by up to eps/2 relative,
+    # which r^(k-1) raises (k - 1)-fold; the three powers (a few ulp each,
+    # at most 4 in numpy) and the seven products and quotients add under
+    # 16 eps. So (k + 16) eps bounds the gap at probe k with room to spare,
+    # while a constant relative error shows at k = 1, whose bound is 17 eps.
+    tol = (probes + 16) * np.finfo(float).eps
+    if np.any(np.abs(direct[ok] - terms[ok]) > tol[ok] * terms[ok]):
         raise BudgetError("schedule arrays disagree with the scaled leak ratio")
     return sp.epsilon * (1.0 - r**K)
 

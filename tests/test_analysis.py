@@ -11,6 +11,7 @@ from dpdopt import (
     AdjacentPair,
     Problem,
     QuadraticCost,
+    ScheduleError,
     ScheduleParams,
     accuracy_bound,
     atilde,
@@ -269,6 +270,7 @@ def test_gain_system_validation():
     )
     for bad in (
         {"sigma": 1.0},
+        {"sigma": -0.1},
         {"mu": 0.0},
         {"L": -1.0},
         {"q1": 1.0},
@@ -279,6 +281,8 @@ def test_gain_system_validation():
     ):
         with pytest.raises(ValueError):
             build_gain_system(**{**ok, **bad})
+    # a complete graph's Metropolis weights are exactly 11^T/n: sigma = 0
+    build_gain_system(**{**ok, "sigma": 0.0})
 
 
 def test_atilde_frozen_values():
@@ -342,6 +346,11 @@ def test_accuracy_bound_structure():
         accuracy_bound(0.05, 0.95, 0.9, **kw)
     with pytest.raises(Exception):
         accuracy_bound(-0.05, 0.9, 0.95, **kw)
+    with pytest.raises(ScheduleError, match="q1 must be in"):
+        accuracy_bound(0.05, 1.0, 1.5, **kw)
+    for bad in ({"c1": -1.0}, {"n": 0}):
+        with pytest.raises(ValueError):
+            accuracy_bound(0.05, 0.9, 0.95, **{**kw, **bad})
     for name in ("epsilon", "delta", "mu", "L", "c1", "c2"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"must be finite, got {name}={value}"):

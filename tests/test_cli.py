@@ -269,6 +269,10 @@ def test_compare_json(main_cfg, capsys):
         assert curve["final_residual_mean"] >= 0.0
 
 
+TUNE_ARGS = ["tune", "--epsilon", "1", "--delta", "1", "--mu", "0.5", "--L", "1.5", "--n", "6",
+             "--p", "2", "--restarts", "2", "--seed", "0"]
+
+
 def redumped(text):
     """What text parses to, rendered by json.dumps indented with sorted keys."""
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
@@ -277,9 +281,7 @@ def redumped(text):
 @pytest.mark.parametrize(
     "argv",
     [["run"], ["audit"], ["compare", "--algorithms", "alg1,dp-dgd"], ["mnmi"],
-     ["mnmi", "--joint"], ["spectral"],
-     ["tune", "--epsilon", "1", "--delta", "1", "--mu", "0.5", "--L", "1.5", "--n", "6",
-      "--p", "2", "--restarts", "2", "--seed", "0"]],
+     ["mnmi", "--joint"], ["spectral"], TUNE_ARGS],
     ids=["run", "audit", "compare", "mnmi", "mnmi-joint", "spectral", "tune"],
 )
 def test_json_outputs_are_the_bytes_of_json_dumps(argv, main_cfg, mnmi_cfg, tmp_path, capsys):
@@ -296,6 +298,70 @@ def test_json_outputs_are_the_bytes_of_json_dumps(argv, main_cfg, mnmi_cfg, tmp_
     if command == "run":
         summary = (tmp_path / "s.json").read_text(encoding="utf-8")
         assert summary == out == redumped(summary)
+
+
+# every subcommand's calls, with the header of each CSV output
+FORMAT_CALLS = {
+    "run": (["run"], None),
+    "audit": (["audit", "--trials", "10", "--iterations", "6"], "k,delta_hat,bound,margin"),
+    "spectral": (["spectral"], "key,value"),
+    "tune": (TUNE_ARGS, "gamma,q1,q2,bound"),
+    "mnmi": (["mnmi"], "k,ratio"),
+    "compare": (["compare", "--algorithms", "alg1,dp-dgd"], "algorithm,k,residual_mean"),
+}
+
+
+@pytest.mark.parametrize("command,fmt", [
+    (command, fmt) for command, (_, header) in FORMAT_CALLS.items()
+    for fmt in ("text", "json", "csv") if header or fmt != "csv"])
+def test_every_subcommand_renders_every_format(command, fmt, main_cfg, mnmi_cfg, capsys):
+    argv, header = FORMAT_CALLS[command]
+    if command != "tune":
+        argv = [*argv, "--config", mnmi_cfg if command == "mnmi" else main_cfg]
+    if fmt != "text":
+        argv = [*argv, "--format", fmt]
+    status = cli(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # only a text audit exits 1 on a failed check (criterion 3's ordering
+    # legs fail on this config); its JSON and CSV report the checks and exit 0
+    assert status == (1 if (command, fmt) == ("audit", "text") else 0)
+    if fmt == "json":
+        assert captured.out == redumped(captured.out)
+    elif fmt == "csv":
+        assert captured.out.split("\n", 1)[0] == header
+    else:
+        assert captured.out.endswith("\n") and "{" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["audit", "compare"])
+def test_json_output_builds_no_csv(command, main_cfg, monkeypatch, capsys):
+    # the CSV columns are built only when the CSV is asked for
+    def refuse(*args):
+        raise AssertionError("format_csv called")
+
+    monkeypatch.setattr(cli_module.harness, "format_csv", refuse)
+    argv, _ = FORMAT_CALLS[command]
+    assert cli([*argv, "--config", main_cfg, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+K4_CFG = (MAIN_CFG.replace("topology.kind = ring", "topology.kind = erdos-renyi")
+          .replace("topology.n = 6", "topology.n = 4")
+          + "topology.p_edge = 1\ntopology.seed = 0\n")
+
+
+@pytest.mark.parametrize("fmt,sigma", [("text", "sigma = 0\n"), ("json", '"sigma": 0.0,\n'),
+                                       ("csv", "sigma,0.0\n")], ids=["text", "json", "csv"])
+def test_spectral_accepts_a_complete_graph(fmt, sigma, tmp_path, capsys):
+    # K4's Metropolis weights are exactly 11^T/n, so sigma is exactly 0
+    path = tmp_path / "k4.cfg"
+    path.write_text(K4_CFG, encoding="utf-8")
+    argv = ["spectral", "--config", str(path)] + (["--format", fmt] if fmt != "text" else [])
+    assert cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sigma in captured.out
 
 
 def test_compare_csv(main_cfg, tmp_path, capsys):
@@ -727,11 +793,12 @@ HUGE = "1" + "0" * 400
         [*TUNE, "--epsilon", "nan", "--format", "json"],
         [*TUNE, "--mu", "nan"],
         ["compare", "--algorithms", "alg1", "--epsilon", "inf"],
+        [*TUNE, "--mu", "1e6", "--L", "1e6"],  # the stepsize box [1e-6, 2/(mu + L)] is empty
     ],
     ids=["mnmi-trials", "mnmi-neighbors", "mnmi-neighbors-trials", "tune-restarts",
          "tune-n", "tune-epsilon", "audit-i0", "spectral-theta", "spectral-theta-minus-one",
          "spectral-theta-half", "audit-delta-nan", "tune-epsilon-nan", "tune-mu-nan",
-         "compare-epsilon-inf"],
+         "compare-epsilon-inf", "tune-empty-stepsize-box"],
 )
 def test_invalid_input_exits_two(argv, main_cfg, mnmi_cfg, capsys):
     # values argparse accepts but the computation rejects end in one line

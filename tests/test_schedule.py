@@ -17,6 +17,7 @@ from dpdopt import (
     stepsize,
     substream,
 )
+from dpdopt import schedule
 
 
 def test_schedule_params_collects_all_problems():
@@ -123,6 +124,18 @@ def test_privacy_spent_underflow_tail(sched):
     spent = privacy_spent(sched, 10**6)
     assert spent <= sched.epsilon
     assert np.isclose(spent, sched.epsilon, rtol=1e-12)
+
+
+def test_privacy_spent_long_schedule(monkeypatch):
+    # fl(q1/q2)^(k-1) and q1^(k-1)/q2^(k-1) round apart about linearly in k:
+    # 1.9e-12 relative at k = 1e5 here, which a flat 1e-12 tolerance refused
+    sp = ScheduleParams(0.01, 1.0, 0.999, 0.9999, 1.0, 1.0)
+    assert privacy_spent(sp, 10**5) == sp.epsilon * (1.0 - (sp.q1 / sp.q2) ** 10**5)
+    # a noise scale off by 1e-9 relative is still refused, at any horizon
+    monkeypatch.setattr(schedule, "noise_scale", lambda sp, k: noise_scale(sp, k) * (1 + 1e-9))
+    for K in (10, 10**6):
+        with pytest.raises(BudgetError, match="disagree with the scaled leak ratio"):
+            privacy_spent(sp, K)
 
 
 @settings(max_examples=50, deadline=None)
