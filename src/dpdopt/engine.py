@@ -49,13 +49,14 @@ and the iteration. A run whose states stay finite while a series it reports
 overflows raises one at its end, naming the series and its first non-finite
 iteration and trial. `monte_carlo` runs each piece of trials
 through `_piece`: the calling process runs the first, and with jobs > 1 a
-process pool runs the others, one whole piece per task. A piece gives one
-trial-major Trace, rendered in the piece's own process when the caller asks,
-and `monte_carlo` joins the pieces along the trial axis.
+process pool, kept for the process, runs the others, one whole piece per
+task. A piece gives one trial-major Trace, rendered in the piece's own
+process when the caller asks, and `monte_carlo` joins the pieces.
 """
 
 from __future__ import annotations
 
+import atexit
 from dataclasses import dataclass, replace
 from itertools import accumulate, cycle, islice
 from typing import Callable
@@ -443,17 +444,19 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
         step_norm = np.zeros((trials, T + 1))
     reported = {name: series for name, series in
                 zip(_SERIES, (residual, consensus, mean_err, step_norm)) if series is not None}
+    xstars = np.tile(xstar, pr.n)  # x* per agent: subtract in (n p)-long inner loops, not p-long
 
     def metrics(cols, Xb, Xprev):
         """Fill columns cols of the reported series from the (b, trials, n, p)
         states Xb; Xprev is the state before Xb[0] (None at k = 0). Returns
         the agent means, (b, trials, p), or None for a residual-only run."""
-        diff = Xb - xstar
+        flat = Xb.reshape(*Xb.shape[:2], -1)
+        diff = (flat - xstars).reshape(Xb.shape)
         residual[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         if residual_only:
             return None
         xbar = _agent_mean(Xb)
-        diff = Xb - xbar[:, :, None, :]
+        diff = (flat - np.tile(xbar, pr.n)).reshape(Xb.shape)
         consensus[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         mdiff = xbar - xstar
         mean_err[:, cols] = np.add.reduce(mdiff * mdiff, axis=2).T
@@ -526,10 +529,10 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
 def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err, residual_only):
     """Simulate one piece of an ensemble, the trials from index start on, under
     the numpy error settings err, and set its rendered to render(trace, start)
-    when render is given. A pool worker runs a whole piece. _batched is read
-    from the module globals there too, so a wrapped _batched stays in effect.
-    A diverging piece returns its DivergenceError, its trial made an ensemble
-    index, for monte_carlo to choose the ensemble's first."""
+    when render is given. A pool worker runs a whole piece, and reads _batched
+    from the module globals as they were when its pool started. A diverging
+    piece returns its DivergenceError, its trial made an ensemble index, for
+    monte_carlo to choose the ensemble's first."""
     with np.errstate(**err):
         try:
             trace = _batched(pr, W, sp, algorithm, T, seeds, xstar,
@@ -540,6 +543,15 @@ def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err, residual_o
         if render is not None:
             trace.rendered = render(trace, start)
     return trace
+
+
+_POOL = {}  # monte_carlo's worker pool, kept for the process: {(class, width): pool}
+
+
+@atexit.register  # at exit, before module teardown: the pool's clean-up needs its modules
+def _close_pool() -> None:
+    while _POOL:
+        _POOL.popitem()[1].shutdown(cancel_futures=True)
 
 
 def run(
@@ -576,9 +588,9 @@ def monte_carlo(
 
     The trials run in contiguous pieces, at least min(jobs, trials) of them
     and none longer than a `_chunk_size` chunk. The calling process runs the
-    first piece; with jobs > 1 a process pool of at most jobs - 1 workers,
-    and no more than there are other pieces, runs the others and is shut
-    down before the call returns. Every trial derives its own streams, so
+    first piece; with jobs > 1 the `_POOL` of min(jobs, pieces) - 1 workers
+    runs the others. Its workers fork when it starts and see the module
+    globals as they were then. Every trial derives its own streams, so
     the result does not depend on the pieces. render, a picklable function
     of (piece's Trace, index of its first trial), runs on each piece in the
     process that simulated it; the returned Trace's rendered joins its
@@ -601,12 +613,16 @@ def monte_carlo(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        key = (ProcessPoolExecutor, workers)  # a kept pool of another class or width is replaced
+        if key not in _POOL or getattr(_POOL[key], "_broken", False):  # a worker died
+            _close_pool()
+            _POOL[key] = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(_piece, *task) for task in tasks[1:]]
+            futures = [_POOL[key].submit(_piece, *task) for task in tasks[1:]]
             parts = [_piece(*tasks[0]), *(future.result() for future in futures)]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        except BaseException:
+            _close_pool()
+            raise
 
     diverged = [part for part in parts if isinstance(part, DivergenceError)]
     if diverged:

@@ -43,6 +43,16 @@ def invariant_gate():
     engine._batched = orig
 
 
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Every test starts and ends without a kept monte_carlo pool: its
+    workers see the module globals as they were when it started, so a pool
+    kept from another test would run that test's patches."""
+    engine._close_pool()
+    yield
+    engine._close_pool()
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Stands a pool in for concurrent.futures.ProcessPoolExecutor that runs

@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -598,7 +599,7 @@ def test_compare_reports_the_full_residual(p, trials, chunk, tmp_path, capfd, mo
 def test_pool_width(jobs, trials, width, tmp_path, capsys, inline_pool):
     # a one-chunk run with --jobs > 1 hands every piece but the caller's to
     # the pool, so --jobs always takes effect; the pool starts no more
-    # workers than there are such pieces
+    # workers than there are such pieces, and is kept after the call
     cfg = tmp_path / "width.cfg"
     cfg.write_text(with_values(MAIN_CFG, {"run.trials": trials}), encoding="utf-8")
     argv = ["run", "--config", str(cfg), "--format", "json"]
@@ -606,7 +607,7 @@ def test_pool_width(jobs, trials, width, tmp_path, capsys, inline_pool):
     serial = capsys.readouterr().out
     assert cli([*argv, "--jobs", str(jobs)]) == 0
     assert capsys.readouterr().out == serial
-    expected = [] if width is None else [(width, min(jobs, trials) - 1, True)]
+    expected = [] if width is None else [(width, min(jobs, trials) - 1, False)]
     assert [(pool.max_workers, pool.tasks, pool.shut) for pool in inline_pool] == expected
 
 
@@ -1208,6 +1209,47 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: dpdopt")
+
+
+KEPT_POOL_SCRIPT = """\
+import atexit, contextlib, io, multiprocessing, sys
+
+# registered before dpdopt is imported, so it runs after dpdopt's exit handler
+atexit.register(lambda: print("kept at exit:", len(engine._POOL)))
+
+from dpdopt import engine
+from dpdopt.cli import cli
+
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli(["run", "--config", sys.argv[1], "--jobs", "2", "--format", "json"])
+    print(status, *sorted(child.pid for child in multiprocessing.active_children()))
+"""
+
+
+def test_kept_pool_exits_cleanly(main_cfg):
+    # three ensembles share one worker; at exit the pool is shut down while
+    # the modules its clean-up reads still exist, so nothing is printed (left
+    # to module teardown, it can print "Exception ignored in ... weakref_cb")
+    src = os.path.dirname(os.path.dirname(dpdopt.__file__))
+    proc = subprocess.run([sys.executable, "-c", KEPT_POOL_SCRIPT, main_cfg],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *lines, last = proc.stdout.splitlines()
+    assert last == "kept at exit: 0"
+    assert len(lines) == 3 and len(set(lines)) == 1
+    status, pid = lines[0].split()
+    assert status == "0"
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
 
 
 STARTUP_SCRIPT = """\

@@ -1,5 +1,9 @@
 """Simulation engine: determinism, stream layout, metrics, and step kernels."""
 
+import concurrent.futures
+import os
+import signal
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -116,11 +120,11 @@ def test_monte_carlo_matches_run(setup):
 
 def assert_same_trace(a, b):
     for name in SERIES:
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         assert getattr(b, name).flags.c_contiguous
     assert a.diagnostics.keys() == b.diagnostics.keys()
     for key, per_trial in a.diagnostics.items():
-        assert np.array_equal(per_trial, b.diagnostics[key])
+        assert per_trial.tobytes() == b.diagnostics[key].tobytes(), key
 
 
 def test_monte_carlo_jobs_and_chunks(setup, monkeypatch):
@@ -183,6 +187,85 @@ def test_pool_shuts_down_when_a_piece_raises(setup, monkeypatch, inline_pool):
     with pytest.raises(MemoryError):
         monte_carlo(pr, wm.W, sp, "alg1", 5, trials=4, seed=3, jobs=2)
     assert [(pool.max_workers, pool.tasks, pool.shut) for pool in inline_pool] == [(1, 1, True)]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stands a ProcessPoolExecutor with real worker processes in for
+    concurrent.futures' own that records its width and whether it was shut
+    down. Returns the pools built in the test, in order."""
+    built = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.width, self.shut = max_workers, False
+            built.append(self)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shut = True
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return built
+
+
+def test_pool_is_kept_across_ensembles(setup, pools):
+    pr, wm, sp = setup
+    serial = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3)
+    for _ in range(2):
+        assert_same_trace(serial, monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2))
+    assert [(pool.width, pool.shut) for pool in pools] == [(1, False)]
+    assert list(engine._POOL.values()) == pools
+
+
+def test_pool_of_another_width_or_class_is_replaced(setup, pools, monkeypatch):
+    pr, wm, sp = setup
+    for jobs in (2, 3):
+        monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=jobs)
+    assert [(pool.width, pool.shut) for pool in pools] == [(1, True), (2, False)]
+    # a pool class patched in after the pool was built, as a tracer does
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        type("Patched", (type(pools[0]),), {}))
+    monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=3)
+    assert [(type(pool).__name__, pool.shut) for pool in pools] == [
+        ("Recorded", True), ("Recorded", True), ("Patched", False)]
+    assert list(engine._POOL.values()) == pools[2:]
+
+
+def test_failed_ensemble_drops_the_pool(setup, pools, monkeypatch):
+    # the pool a failing call built runs the patched _batched in its workers,
+    # so a later call that reused it would fail too
+    pr, wm, sp = setup
+    serial = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3)
+    gated = engine._batched
+
+    def failing(*args, **kwargs):
+        raise MemoryError("no room for the noise block")
+
+    monkeypatch.setattr(engine, "_batched", failing)
+    with pytest.raises(MemoryError):
+        monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2)
+    assert [pool.shut for pool in pools] == [True] and engine._POOL == {}
+    monkeypatch.setattr(engine, "_batched", gated)
+    assert_same_trace(serial, monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2))
+    assert [pool.shut for pool in pools] == [True, False]
+
+
+def test_worker_killed_between_ensembles(setup, pools):
+    pr, wm, sp = setup
+    serial = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3)
+    monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2)
+    (worker,) = pools[0]._processes.values()
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(5)
+    assert worker.exitcode == -signal.SIGKILL
+    deadline = time.monotonic() + 5  # the pool notices the death on its own thread
+    while not pools[0]._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pools[0]._broken
+    assert_same_trace(serial, monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2))
+    assert [pool.shut for pool in pools] == [True, False]
 
 
 @pytest.mark.parametrize("chunk", [None, 2])
