@@ -77,10 +77,6 @@ __all__ = [
 ]
 
 
-def _mat(W) -> np.ndarray:
-    return np.asarray(getattr(W, "W", W), dtype=float)
-
-
 def _step_alg1(X, Y, G, Z, W, pr: Problem, a_k, beta):
     Zbar = W @ Z
     Ynew = Y + beta * (Z - Zbar)
@@ -232,7 +228,9 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return draw_rows([(seed, "trial", np.arange(trials))], _seed_draw)
 
 
-def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T: int):
+def _validate(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int) -> np.ndarray:
+    """W as a float array, once the arguments of a run of T steps check out."""
+    W = np.asarray(getattr(W, "W", W), dtype=float)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if W.shape != (pr.n, pr.n):
@@ -241,6 +239,7 @@ def _validate(pr: Problem, W: np.ndarray, sp: ScheduleParams, algorithm: str, T:
         raise ValueError(f"iteration count must be >= 0, got {T}")
     if _DYNAMICS[algorithm].constant and sp.delta != 0.0:
         raise ScheduleError(f"{algorithm} is a noiseless dynamic; needs delta = 0")
+    return W
 
 
 def _split(items: list, count: int) -> list:
@@ -260,8 +259,7 @@ def _ensemble(pr: Problem, W, sp: ScheduleParams, algorithm: str, T: int, trials
     pieces (one per trial, when there are fewer), chunk the `_chunk_size`:
     none is longer than a chunk. The simulator, the sensitivity audit and
     the attacker view all take their checks, seeds and pieces from here."""
-    Wm = _mat(W)
-    _validate(pr, Wm, sp, algorithm, T)
+    Wm = _validate(pr, W, sp, algorithm, T)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     chunk = _chunk_size(trials, T, pr.n, pr.p)
@@ -347,8 +345,7 @@ def _trajectory(pr, W, algorithm, alphas, nus, beta, seeds, streams=None):
     X, noise = streams or _draw_streams(seeds, pr.n, pr.p, nus)
     G = pr.gradients(X) if row.tracking else None
     Y = np.zeros_like(X) if G is None else G
-    Z = Xi = None
-    yield X, Y, G, Z, Xi
+    yield X, Y, G, None, None
 
     fixed = noise is None and (alphas == alphas[:1]).all()  # one map of (X, Y, G)
     keep = _BLOCK_BYTES // (3 * X.nbytes) if fixed else 0
@@ -425,7 +422,6 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
     finite but whose reported series are not raises one at its end, naming
     the first such iteration, trial and series.
     """
-    trials = len(seeds)
     row = _DYNAMICS[algorithm]
     alphas, nus = _schedule_arrays(sp, T, row.constant)
     # the first yield draws the trial streams; their noise block is the
@@ -435,21 +431,15 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
     B = max(1, _BLOCK_BYTES // X.nbytes)
 
     # trial-major, as the Trace holds them; a block fills whole columns
-    residual = np.empty((trials, T + 1))
-    if residual_only:
-        consensus = mean_err = step_norm = None
-    else:
-        consensus = np.empty((trials, T + 1))
-        mean_err = np.empty((trials, T + 1))
-        step_norm = np.zeros((trials, T + 1))
-    reported = {name: series for name, series in
-                zip(_SERIES, (residual, consensus, mean_err, step_norm)) if series is not None}
+    names = _SERIES[:1] if residual_only else _SERIES
+    reported = {name: np.empty((len(seeds), T + 1)) for name in names}
+    residual, consensus, mean_err, step_norm = map(reported.get, _SERIES)
     xstars = np.tile(xstar, pr.n)  # x* per agent: subtract in (n p)-long inner loops, not p-long
 
     def metrics(cols, Xb, Xprev):
         """Fill columns cols of the reported series from the (b, trials, n, p)
-        states Xb; Xprev is the state before Xb[0] (None at k = 0). Returns
-        the agent means, (b, trials, p), or None for a residual-only run."""
+        states Xb; Xprev is the state before Xb[0], and X(0) at k = 0: a zero
+        step. Returns the agent means, (b, trials, p), or None if residual-only."""
         flat = Xb.reshape(*Xb.shape[:2], -1)
         diff = (flat - xstars).reshape(Xb.shape)
         residual[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
@@ -460,11 +450,10 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
         consensus[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         mdiff = xbar - xstar
         mean_err[:, cols] = np.add.reduce(mdiff * mdiff, axis=2).T
-        if Xprev is not None:
-            diff = np.empty_like(Xb)
-            np.subtract(Xb[0], Xprev, out=diff[0])
-            np.subtract(Xb[1:], Xb[:-1], out=diff[1:])
-            step_norm[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
+        diff = np.empty_like(Xb)
+        np.subtract(Xb[0], Xprev, out=diff[0])
+        np.subtract(Xb[1:], Xb[:-1], out=diff[1:])
+        step_norm[:, cols] = np.add.reduce(diff * diff, axis=(2, 3)).T
         return xbar
 
     # each trial's worst residual of each invariant, keyed once its check ran
@@ -504,8 +493,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
             worst("tracking_resid_max", Ymean - Gmean)
         return S
 
-    diagnosed = bool(row.invariants) and not residual_only
-    xbar = metrics(slice(0, 1), X[None], None)  # the means of the last block's states
+    xbar = metrics(slice(0, 1), X[None], X)  # the means of the last block's states
     S = 0.0  # running sum of (W - I) X(l), l = 0..k-1
     for k0 in range(1, T + 1, B):
         b = min(B, T + 1 - k0)
@@ -515,7 +503,7 @@ def _batched(pr, W, sp, algorithm, T, seeds, xstar, residual_only=False):
         xbar_b = metrics(cols, Xb, X)
         if not np.isfinite(residual[:, cols]).all():
             _divergence(algorithm, seeds, T, {"state": Xb}, k0)
-        if diagnosed:
+        if row.invariants and not residual_only:
             S = diagnose(alphas[k0 - 1 : k0 - 1 + b], Xb, Ys, Gs, Xis, X,
                          _shift(xbar[-1], xbar_b), xbar_b, S)
         X, xbar = Xs[-1], xbar_b
@@ -545,7 +533,7 @@ def _piece(pr, W, sp, algorithm, T, seeds, xstar, start, render, err, residual_o
     return trace
 
 
-_POOL = {}  # monte_carlo's worker pool, kept for the process: {(class, width): pool}
+_POOL = {}  # monte_carlo's worker pool, kept for the process: {(class, _batched, width): pool}
 
 
 @atexit.register  # at exit, before module teardown: the pool's clean-up needs its modules
@@ -563,8 +551,7 @@ def run(
     seed: int,
 ) -> Trace:
     """Simulate one trial for T iterations and return its one-row Trace."""
-    Wm = _mat(W)
-    _validate(pr, Wm, sp, algorithm, T)
+    Wm = _validate(pr, W, sp, algorithm, T)
     return _batched(pr, Wm, sp, algorithm, T, [seed], optimum(pr))
 
 
@@ -590,14 +577,16 @@ def monte_carlo(
     and none longer than a `_chunk_size` chunk. The calling process runs the
     first piece; with jobs > 1 the `_POOL` of min(jobs, pieces) - 1 workers
     runs the others. Its workers fork when it starts and see the module
-    globals as they were then. Every trial derives its own streams, so
-    the result does not depend on the pieces. render, a picklable function
-    of (piece's Trace, index of its first trial), runs on each piece in the
-    process that simulated it; the returned Trace's rendered joins its
-    results in trial order. A diverging ensemble raises the DivergenceError
-    of its earliest non-finite state, lowest trial first, as one batch would;
-    one whose states stay finite raises that of its earliest non-finite
-    reported series.
+    globals as they were then; a kept pool of another ProcessPoolExecutor
+    class, `_batched` or width is replaced, and a call that finds a kept
+    pool's worker dead runs again, once, on a fresh pool. Every trial
+    derives its own streams, so the result does not depend on the pieces.
+    render, a picklable function of (piece's Trace, index of its first
+    trial), runs on each piece in the process that simulated it; the
+    returned Trace's rendered joins its results in trial order. A diverging
+    ensemble raises the DivergenceError of its earliest non-finite state,
+    lowest trial first, as one batch would; one whose states stay finite
+    raises that of its earliest non-finite reported series.
     """
     if jobs < 1:
         raise ValueError(f"need at least one job, got {jobs}")
@@ -611,18 +600,21 @@ def monte_carlo(
     if workers < 1:
         parts = [_piece(*task) for task in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        key = (ProcessPoolExecutor, workers)  # a kept pool of another class or width is replaced
-        if key not in _POOL or getattr(_POOL[key], "_broken", False):  # a worker died
+        key = (ProcessPoolExecutor, _batched, workers)  # a kept pool of another key is replaced
+        kept = key in _POOL
+        if not kept:
             _close_pool()
             _POOL[key] = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = [_POOL[key].submit(_piece, *task) for task in tasks[1:]]
             parts = [_piece(*tasks[0]), *(future.result() for future in futures)]
-        except BaseException:
+        except BaseException as exc:
             _close_pool()
-            raise
+            if not (kept and isinstance(exc, BrokenExecutor)):  # else a kept pool lost a worker
+                raise
+            return monte_carlo(pr, W, sp, algorithm, T, trials, seed, jobs, render, residual_only)
 
     diverged = [part for part in parts if isinstance(part, DivergenceError)]
     if diverged:

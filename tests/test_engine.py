@@ -118,13 +118,18 @@ def test_monte_carlo_matches_run(setup):
             assert np.array_equal(getattr(trace, name)[t], getattr(single, name)[0])
 
 
+def same_array(x, y):
+    """x and y have one shape and the same bytes, signed zeros included."""
+    return (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+
 def assert_same_trace(a, b):
     for name in SERIES:
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert same_array(getattr(a, name), getattr(b, name)), name
         assert getattr(b, name).flags.c_contiguous
     assert a.diagnostics.keys() == b.diagnostics.keys()
     for key, per_trial in a.diagnostics.items():
-        assert per_trial.tobytes() == b.diagnostics[key].tobytes(), key
+        assert same_array(per_trial, b.diagnostics[key]), key
 
 
 def test_monte_carlo_jobs_and_chunks(setup, monkeypatch):
@@ -234,8 +239,6 @@ def test_pool_of_another_width_or_class_is_replaced(setup, pools, monkeypatch):
 
 
 def test_failed_ensemble_drops_the_pool(setup, pools, monkeypatch):
-    # the pool a failing call built runs the patched _batched in its workers,
-    # so a later call that reused it would fail too
     pr, wm, sp = setup
     serial = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3)
     gated = engine._batched
@@ -252,7 +255,11 @@ def test_failed_ensemble_drops_the_pool(setup, pools, monkeypatch):
     assert [pool.shut for pool in pools] == [True, False]
 
 
-def test_worker_killed_between_ensembles(setup, pools):
+@pytest.mark.parametrize("noticed", [True, False])
+def test_worker_killed_between_ensembles(setup, pools, noticed):
+    # the pool notices a death on its own thread: once it has, the next
+    # submit raises; before, the next result does. Either way the call runs
+    # again on a fresh pool.
     pr, wm, sp = setup
     serial = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3)
     monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2)
@@ -260,11 +267,48 @@ def test_worker_killed_between_ensembles(setup, pools):
     os.kill(worker.pid, signal.SIGKILL)
     worker.join(5)
     assert worker.exitcode == -signal.SIGKILL
-    deadline = time.monotonic() + 5  # the pool notices the death on its own thread
-    while not pools[0]._broken and time.monotonic() < deadline:
+    deadline = time.monotonic() + 5
+    while noticed and not pools[0]._broken and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert pools[0]._broken
     assert_same_trace(serial, monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2))
+    assert [pool.shut for pool in pools] == [True, False]
+
+
+def test_worker_killed_in_the_call_fails_it(setup, pools, monkeypatch, tmp_path):
+    # a kept pool whose worker dies runs the call again once, on a fresh
+    # pool; a death there fails the call
+    pr, wm, sp = setup
+    batched, caller, armed = engine._batched, os.getpid(), tmp_path / "armed"
+
+    def dying(*args, **kwargs):
+        if os.getpid() != caller and armed.exists():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_batched", dying)
+    monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2)
+    armed.touch()
+    with pytest.raises(concurrent.futures.BrokenExecutor):
+        monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2)
+    assert [pool.shut for pool in pools] == [True, True] and engine._POOL == {}
+
+
+def test_pool_is_replaced_when_batched_is(setup, pools, monkeypatch):
+    # workers keep the module globals of their fork, so a _batched wrapped
+    # after a pool started, as a tracer does, needs a new pool to take effect
+    pr, wm, sp = setup
+    serial = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3)
+    monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2)
+    batched = engine._batched
+
+    def doubled(*args, **kwargs):
+        trace = batched(*args, **kwargs)
+        trace.residual *= 2
+        return trace
+
+    monkeypatch.setattr(engine, "_batched", doubled)
+    residual = monte_carlo(pr, wm.W, sp, "alg1", 8, trials=6, seed=3, jobs=2).residual
+    assert same_array(residual, 2 * serial.residual)
     assert [pool.shut for pool in pools] == [True, False]
 
 
@@ -542,8 +586,7 @@ def test_constant_rows_replay_their_cycle_exactly(criterion4, algorithm, trials,
     assert len(got) == len(want) == T + 1
     for k, (step, ref) in enumerate(zip(got, want)):
         for a, b in zip(step, ref):
-            assert (a is None and b is None) or (
-                a.shape == b.shape and a.tobytes() == b.tobytes()), (algorithm, k)
+            assert (a is None and b is None) or same_array(a, b), (algorithm, k)
     keep = engine._BLOCK_BYTES // (3 * got[0][0].nbytes)
     if trials == 1:
         assert len(calls) < T
